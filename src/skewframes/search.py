@@ -14,11 +14,13 @@ S^n == -I), only the shifts s = 1..n/2-1 bind.  Vectors are packed into
 integers, one bit per sign (+1 -> 1), most significant bit first, which
 turns each correlation into an xor plus popcount.
 
-The enumeration is meet-in-the-middle: every b is reduced to the
-maximum integer in its S-orbit (the orbit includes -b = S^n b, and the
-maximum is found by sweeping the 2^n encodings in descending order),
-the canonical b values are bucketed by their correlation popcount
-profile, and then each admissible a looks up the complementary profile.
+The enumeration matches autocorrelation profiles (Dokovic-Kotsireas,
+"Compression of periodic complementary sequences", 2015): the 2^(n/2)
+admissible a fill a table from complementary profile codes to a rows,
+then b is streamed in numpy chunks over [2^(n-1), 2^n), where the
+maximum of each S-orbit lies (the orbit holds -b = S^n b).  Only chunk
+entries whose code is in the table are tested for orbit maximality, so
+nothing of size 2^n is held; jobs > 1 splits the range into shards.
 
 Classification groups the surviving pairs by Gram matrix equivalence
 and tags each class that matches a Paley-type reference:
@@ -62,14 +64,25 @@ def _shift(x: int, n: int) -> int:
     return (x >> 1) | ((~x & 1) << (n - 1))
 
 
-def _correlation_popcounts(x: int, n: int, count: int) -> tuple:
-    """popcount(x ^ S^s x) for s = 1..count; <v, S^s v> = n - 2 popcount."""
-    out = []
-    y = x
-    for _ in range(count):
-        y = _shift(y, n)
-        out.append((x ^ y).bit_count())
-    return tuple(out)
+def _correlation_popcounts(x, n: int, count: int) -> tuple:
+    """popcount(x ^ S^s x) for s = 1..count; <v, S^s v> = n - 2 popcount.
+    x is an int or an int64 array (then n <= 31): S^s x is the low n bits
+    of the 2n-bit word (~x, x) shifted right by s."""
+    mask = (1 << n) - 1
+    w = ((~x & mask) << n) | x
+    return tuple(np.bitwise_count(x ^ (w >> s) & mask).astype(np.int64)
+                 for s in range(1, count + 1))
+
+
+def _profile_codes(x, n: int, complement: bool = False):
+    """int64 code of the correlation profile (shifts 1..n/2-1), or of the
+    complementary profile n - p.  As p == s (mod 2), p >> 1 is stored as
+    one digit in base n/2 + 1."""
+    code = np.zeros(np.shape(x), dtype=np.int64)
+    for p in _correlation_popcounts(x, n, n // 2 - 1):
+        code *= n // 2 + 1
+        code += (n - p if complement else p) >> 1
+    return code
 
 
 def canonicalize_b(b) -> tuple:
@@ -80,87 +93,69 @@ def canonicalize_b(b) -> tuple:
     if any(s not in (1, -1) for s in t):
         raise ValueError("expected a +-1 vector")
     n = len(t)
-    x = _pack(t)
-    best = x
-    y = x
+    orbit = [_pack(t)]
     for _ in range(2 * n - 1):
-        y = _shift(y, n)
-        if y > best:
-            best = y
-    return _unpack(best, n)
+        orbit.append(_shift(orbit[-1], n))
+    return _unpack(max(orbit), n)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-def _bucket_canonical_b(n: int):
-    """Map correlation profile -> canonical b encodings, sweeping all
-    2^n encodings downward so each orbit is charged to its maximum."""
-    half = n // 2
-    size = 1 << n
-    seen = bytearray(size)
-    buckets: dict = {}
-    period = 2 * n
-    for x in range(size - 1, -1, -1):
-        if seen[x]:
-            continue
-        y = x
-        for _ in range(period):
-            seen[y] = 1
-            y = _shift(y, n)
-        key = _correlation_popcounts(x, n, half - 1)
-        buckets.setdefault(key, []).append(x)
-    return buckets
+_CHUNK = 1 << 14  # encodings per step of the b sweep
+
+
+def _sweep(args):
+    """Canonical b in [lo, hi) whose profile code is in the sorted array
+    targets.  Each chunk is filtered by profile; only the hits are tested
+    for orbit maximality."""
+    n, lo, hi, targets = args
+    hits = [np.zeros(0, dtype=np.int64)]
+    for start in range(lo, hi, _CHUNK):
+        x = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
+        code = _profile_codes(x, n)
+        # bisection in the sorted targets; an index past the end wraps to a miss
+        hits.append(x[targets[np.searchsorted(targets, code) % len(targets)] == code])
+    x = np.concatenate(hits)
+    y, keep = x, np.ones(len(x), dtype=bool)
+    for _ in range(2 * n - 1):
+        y = _shift(y, n)
+        keep &= x >= y
+    return x[keep]
 
 
 def _admissible_a(n: int):
     """All encodings of rows a with a[0] == 1 and a[k] == a[n-k]."""
-    half = n // 2
-    out = []
-    for f in range(1 << half):
-        a = [1] * n
-        for k in range(1, half + 1):
-            s = 1 if (f >> (k - 1)) & 1 else -1
-            a[k] = s
-            a[n - k] = s
-        out.append(_pack(a))
-    return out
-
-
-def _scan_shard(args) -> list:
-    n, a_values, buckets = args
-    half = n // 2
-    found = []
-    for a in a_values:
-        key = _correlation_popcounts(a, n, half - 1)
-        target = tuple(n - p for p in key)
-        for b in buckets.get(target, ()):
-            found.append((a, b))
-    return found
+    return [_pack([1] + [1 if f >> (min(k, n - k) - 1) & 1 else -1 for k in range(1, n)])
+            for f in range(1 << n // 2)]
 
 
 def enumerate(n: int, jobs: int = 1) -> List[BlockSkewHadamard]:
     """All two-negacirculant skew Hadamard matrices of order 2n with
     canonical second row, sorted by (hex(a), hex(b)).  Only even n is
-    supported: for odd n the diagonal shift s = n/2 is unavailable and
-    this search space is not defined."""
-    if not isinstance(n, int) or n < 2 or n % 2 != 0:
-        raise ValueError("enumeration is supported for even n >= 2 only")
+    supported (for odd n the diagonal shift s = n/2 is unavailable and the
+    space is not defined), up to 30 to keep the sweep's words in int64."""
+    if not isinstance(n, int) or not 2 <= n <= 30 or n % 2 != 0:
+        raise ValueError("enumeration is supported for even 2 <= n <= 30 only")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    buckets = _bucket_canonical_b(n)
     a_values = _admissible_a(n)
+    table: dict = {}
+    for a, c in zip(a_values, _profile_codes(np.array(a_values), n, True).tolist()):
+        table.setdefault(c, []).append(a)
+    targets = np.array(sorted(table), dtype=np.int64)
+    # contiguous shards of [2^(n-1), 2^n), which holds every orbit maximum
+    bounds = [((jobs + i) << (n - 1)) // jobs for i in range(jobs + 1)]
+    shards = [(n, bounds[i], bounds[i + 1], targets) for i in range(jobs)]
     if jobs == 1:
-        pairs = _scan_shard((n, a_values, buckets))
+        results = [_sweep(shards[0])]
     else:
-        shards = [(n, a_values[i::jobs], buckets) for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = [p for chunk in pool.map(_scan_shard, shards) for p in chunk]
-    records = [
-        BlockSkewHadamard(n=n, a=_unpack(a, n), b=_unpack(b, n))
-        for a, b in pairs
-    ]
+            results = list(pool.map(_sweep, shards))
+    bs = np.concatenate(results)
+    records = [BlockSkewHadamard(n=n, a=_unpack(a, n), b=_unpack(b, n))
+               for b, c in zip(bs.tolist(), _profile_codes(bs, n).tolist()) for a in table[c]]
     records.sort(key=lambda r: (hex_encode(r.a), hex_encode(r.b)))
     return records
 

@@ -1,17 +1,21 @@
 """Tests for the command line front end.
 
 Most tests call run(argv) in-process and inspect stdout/stderr through
-capsys; one test exercises the installed console script end to end.
+capsys; one test checks the declared console script and runs its entry
+point end to end through `python -m skewframes`.
 Exit code contract: 0 success/verified, 1 verified-false or empty
 result, 2 usage or invalid input, 3 internal failure.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skewframes
 from skewframes.cli import format_gram, parse_gram, run
 from skewframes.equiv import EquivalenceCertificate
 from skewframes.paley import FiniteField, paley_gram
@@ -242,8 +246,19 @@ def test_unknown_command_is_usage_error():
 
 
 def test_console_script_entry_point():
+    # the script is declared in pyproject.toml ...
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    if sys.version_info >= (3, 11):
+        import tomllib
+        assert tomllib.loads(text)["project"]["scripts"]["skewframes"] == "skewframes.cli:main"
+    else:
+        section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        assert 'skewframes = "skewframes.cli:main"' in section.splitlines()
+    # ... and the same entry point runs end to end through python -m, from
+    # the package this suite imports, whether or not the script is installed
+    env = dict(os.environ, PYTHONPATH=str(Path(skewframes.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        ["skewframes", "verify", "--a", "2", "--b", "3", "--n", "2"],
-        capture_output=True, text=True)
+        [sys.executable, "-m", "skewframes", "verify", "--a", "2", "--b", "3", "--n", "2"],
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "skew-Hadamard: yes; ETF(4,2): yes; regular: yes\n"

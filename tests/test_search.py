@@ -3,7 +3,8 @@ solutions.
 
 Frozen oracles, hand-checked once and pinned:
 - the complete sorted (hex(a), hex(b)) solution lists for n = 2, 4, 6, 10;
-- raw solution counts for n up to 14;
+- raw solution counts for n up to 24 (from 16 on, agreed between the
+  streamed profile sweep and the earlier bucketed orbit sweep);
 - class counts and symmetry tags for small n.
 
 The independent brute-force enumerator provides an oracle for the
@@ -16,6 +17,7 @@ import pytest
 
 from skewframes.hadamard import hex_encode, is_skew_hadamard
 from skewframes.search import (
+    _CHUNK,
     SolutionRecord,
     _correlation_popcounts,
     _pack,
@@ -40,7 +42,8 @@ EXPECTED_PAIRS = {
          ("345", "3F3"), ("37D", "3A3"), ("3D7", "3D9"), ("3EF", "353")],
 }
 
-EXPECTED_RAW_COUNTS = {2: 2, 4: 4, 6: 4, 8: 16, 10: 8, 12: 24, 14: 4}
+EXPECTED_RAW_COUNTS = {2: 2, 4: 4, 6: 4, 8: 16, 10: 8, 12: 24, 14: 4,
+                       16: 48, 18: 0, 20: 32, 22: 20, 24: 112}
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +134,22 @@ def test_enumerate_counts_and_validity(n):
 
 
 def test_enumerate_rejects_bad_input():
-    for bad in (0, 1, 3, 7):
+    for bad in (0, 1, 3, 7, 32):
         with pytest.raises(ValueError):
             enumerate(bad)
     with pytest.raises(ValueError):
         enumerate(4, jobs=0)
 
 
-def test_enumerate_sharded_agrees_with_serial():
-    serial = [(r.a, r.b) for r in enumerate(6)]
-    sharded = [(r.a, r.b) for r in enumerate(6, jobs=2)]
-    assert serial == sharded
+@pytest.mark.parametrize("n,jobs", [(6, 2), (20, 2), (20, 3)])
+def test_enumerate_sharded_agrees_with_serial(n, jobs):
+    # at n = 20 (32 solutions) every shard spans several chunks, and the
+    # jobs=3 shard bounds (2^19 / 3 apart) fall inside chunks
+    if n == 20:
+        assert (1 << (n - 1)) // jobs >= 2 * _CHUNK
+    serial = [(r.a, r.b) for r in enumerate(n)]
+    sharded = [(r.a, r.b) for r in enumerate(n, jobs=jobs)]
+    assert serial and serial == sharded
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
