@@ -77,8 +77,6 @@ from .equiv import (
     NormalizedGram,
     NotEtfGramError,
     are_equivalent,
-    canonical_profile,
-    invariant_signature,
     normalize,
 )
 from .search import (

@@ -94,11 +94,6 @@ def _write_or_print(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _record_line(r: SolutionRecord) -> str:
-    t = r.symmetry_type if r.symmetry_type else "-"
-    return f"{r.n}\t{r.a_hex}\t{r.b_hex}\t{t}\t{r.class_id}"
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -156,12 +151,9 @@ def _cmd_paley(args) -> int:
 
 def _cmd_search(args) -> int:
     sols = search.enumerate(args.n, jobs=args.jobs)
-    lines = [
-        _record_line(SolutionRecord(args.n, hadamard.hex_encode(s.a),
-                                    hadamard.hex_encode(s.b), None, 0))
-        for s in sols
-    ]
-    _write_or_print("".join(ln + "\n" for ln in lines), args.out)
+    records = [SolutionRecord(args.n, hadamard.hex_encode(s.a), hadamard.hex_encode(s.b), None, 0)
+               for s in sols]
+    _write_or_print(search.format_records(records), args.out)
     return 0 if sols else 1
 
 
@@ -179,7 +171,7 @@ def _cmd_classify(args) -> int:
         if any(r.n != args.n for r in rows):
             raise ValueError("input rows disagree with --n")
     records = search.classify(args.n, jobs=args.jobs, solutions=solutions)
-    _write_or_print("".join(_record_line(r) + "\n" for r in records), args.out)
+    _write_or_print(search.format_records(records), args.out)
     print(f"{len(records)} classes")
     return 0 if records else 1
 
@@ -223,7 +215,7 @@ def _cmd_discover(args) -> int:
         print(f"failure: {outcome.stage}" +
               (f" ({outcome.detail})" if outcome.detail else ""))
         return 1
-    print(_record_line(outcome))
+    sys.stdout.write(search.format_records([outcome]))
     return 0
 
 

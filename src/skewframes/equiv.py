@@ -18,9 +18,9 @@ question is combinatorial:
 - Certificates are returned as (permutation, phases) and are verified
   against both the float and the exact data before being returned.
 
-canonical_profile aggregates per-vertex integer invariants into a
-fingerprint that is equal for equivalent vertex-transitive grams, which
-is what makes classification by bucketing sound.
+equivalence_fingerprint (the histogram of stable Weisfeiler-Leman pair
+colors) is equal for equivalent vertex-transitive grams, so unequal
+fingerprints prove inequivalence without a search.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ from .frames import GramMatrix
 
 class NotEtfGramError(ValueError):
     """The matrix has no exact {0, +-1, +-i} scaled off-diagonal view."""
-
-
-_UNITS = (1 + 0j, -1 + 0j, 1j, -1j)
-_CODE_OF = {(1, 0): 1, (-1, 0): 2, (0, 1): 3, (0, -1): 4}
 
 
 def _exact_view(G: GramMatrix) -> np.ndarray:
@@ -102,69 +98,6 @@ def normalize(G: GramMatrix, anchor: int = 0) -> NormalizedGram:
         order=tuple(order),
         phases=tuple(d),
     )
-
-
-def _charpoly_gaussian_int(M: np.ndarray) -> tuple:
-    """Characteristic polynomial coefficients of a Gaussian-integer
-    matrix, exactly, via the Faddeev-LeVerrier recurrence on arbitrary
-    precision integers.  Returns ((re, im), ...) for c_1..c_k in
-    x^k + c_1 x^(k-1) + ... + c_k."""
-    k = M.shape[0]
-    if k == 0:
-        return ()
-    A = [[(int(round(M[i, j].real)), int(round(M[i, j].imag)))
-          for j in range(k)] for i in range(k)]
-
-    def mat_mul(X, Y):
-        out = []
-        for i in range(k):
-            row = []
-            Xi = X[i]
-            for j in range(k):
-                sr = si = 0
-                for t in range(k):
-                    ar, ai = Xi[t]
-                    br, bi = Y[t][j]
-                    sr += ar * br - ai * bi
-                    si += ar * bi + ai * br
-                row.append((sr, si))
-            out.append(row)
-        return out
-
-    coeffs = []
-    B = A
-    for i in range(1, k + 1):
-        tr_r = sum(B[t][t][0] for t in range(k))
-        tr_i = sum(B[t][t][1] for t in range(k))
-        assert tr_r % i == 0 and tr_i % i == 0
-        c = (-tr_r // i, -tr_i // i)
-        coeffs.append(c)
-        if i < k:
-            Bc = [row[:] for row in B]
-            for t in range(k):
-                Bc[t][t] = (Bc[t][t][0] + c[0], Bc[t][t][1] + c[1])
-            B = mat_mul(A, Bc)
-    return tuple(coeffs)
-
-
-def invariant_signature(ng: NormalizedGram) -> tuple:
-    """Hashable invariant of a normalized gram, preserved by any
-    equivalence that fixes the normalized vertices 0 and 1: the indices
-    {2..N-1} are partitioned by their value in row 1 of the exact view,
-    and each part contributes its size and the exact characteristic
-    polynomial of its principal submatrix."""
-    K = ng.exact
-    N = K.shape[0]
-    parts = []
-    for v in _UNITS:
-        sel = [k for k in range(2, N) if K[1, k] == v]
-        sub = K[np.ix_(sel, sel)]
-        parts.append((
-            _CODE_OF[(int(v.real), int(v.imag))],
-            len(sel),
-            _charpoly_gaussian_int(sub),
-        ))
-    return (N, tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -407,32 +340,3 @@ def equivalence_fingerprint(G: GramMatrix) -> tuple:
     ng = normalize(G, 0)
     _, hist = _wl_colors(_codes(ng.exact))
     return (G.size, hist)
-
-
-def canonical_profile(G: GramMatrix) -> tuple:
-    """Fingerprint for bucketing vertex-transitive grams: the sorted
-    multiset, over each choice of second vertex j, of the per-value
-    class sizes, block entry sums, and power traces of the normalized
-    exact view.  Equivalent transitive grams always agree; unequal
-    profiles prove inequivalence."""
-    ng = normalize(G, 0)
-    K = ng.exact
-    N = K.shape[0]
-    rows = []
-    for j in range(1, N):
-        sels = [[k for k in range(1, N) if k != j and K[j, k] == v] for v in _UNITS]
-        entry = []
-        for si, sel in enumerate(sels):
-            M = K[np.ix_(sel, sel)]
-            t2 = complex(np.trace(M @ M)) if sel else 0j
-            t3 = complex(np.trace(M @ M @ M)) if sel else 0j
-            cross = []
-            for sel2 in sels:
-                s = complex(np.sum(K[np.ix_(sel, sel2)])) if sel and sel2 else 0j
-                cross.append((int(round(s.real)), int(round(s.imag))))
-            entry.append((len(sel),
-                          int(round(t2.real)), int(round(t2.imag)),
-                          int(round(t3.real)), int(round(t3.imag)),
-                          tuple(cross)))
-        rows.append(tuple(entry))
-    return (N, tuple(sorted(rows)))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .frames import (
     DihedralFlavor,
@@ -42,8 +41,7 @@ from .hadamard import (
     hex_encode,
     NotDihedralETFError,
 )
-from .search import SolutionRecord, paley_reference_grams
-from .equiv import are_equivalent
+from .search import SolutionRecord, paley_tags
 
 
 @dataclass(frozen=True)
@@ -110,19 +108,24 @@ def minimize_fiducial(config: MinimizeConfig,
     """Restarted Nelder-Mead minimization of the orbit frame potential.
 
     Deterministic for a fixed config: restarts draw their starting
-    points from one seeded generator, and the best restart is the one
-    with the smallest objective value (earliest restart wins ties).
+    points from one seeded generator.  The best restart is the one with
+    the smallest objective value among those whose orbit passes the ETF
+    gate (is_etf at config.angle_rel_tol), or among all restarts when
+    none passes; the earliest restart wins ties.
     """
+    # scipy.optimize is most of the package's import time; only this needs it
+    from scipy.optimize import minimize
+
     n = config.n
     rng = np.random.default_rng(config.seed)
     wb = welch_bound(2 * n, n)
-    best_x, best_val = None, np.inf
+    candidates = []  # (fails the gate, value, v) per restart
     diagnostics = []
     for _ in range(config.restarts):
         x0 = rng.standard_normal(2 * n)
         while np.linalg.norm(x0) < 1e-3:
             x0 = rng.standard_normal(2 * n)
-        res = _scipy_minimize(
+        res = minimize(
             _objective, x0, args=(n, config.p, flavor), method="Nelder-Mead",
             options={"maxiter": config.max_iterations,
                      "maxfev": config.max_iterations,
@@ -134,14 +137,11 @@ def minimize_fiducial(config: MinimizeConfig,
         gap = coherence(orbit) - wb
         ok = is_etf(orbit, rel_tol=config.angle_rel_tol)
         diagnostics.append(RestartDiagnostic(float(res.fun), float(gap), bool(ok)))
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), v
-    if best_x is None:
+        candidates.append((not ok, float(res.fun), v))
+    if not candidates:
         raise RuntimeError("all restarts degenerated to the zero vector")
-    orbit = dihedral_orbit(best_x, flavor)
-    converged = is_etf(orbit, rel_tol=config.angle_rel_tol)
-    return MinimizeResult(v=best_x, value=best_val, converged=bool(converged),
-                          diagnostics=diagnostics)
+    failed, value, v = min(candidates, key=lambda c: c[:2])
+    return MinimizeResult(v=v, value=value, converged=not failed, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,7 @@ def discover(n: int, config: Optional[MinimizeConfig] = None):
     if not verified:
         return DiscoveryFailure("verification-failure",
                                 "rounded matrix fails the ETF checks")
-    refs = paley_reference_grams(n)
-    tags = tuple(
-        tag for tag in ("P", "DP", "CDP")
-        if tag in refs
-        and are_equivalent(exact_gram, refs[tag], assume_transitive=True).equivalent
-    )
+    tags = paley_tags(n, [exact_gram])[0]
     return SolutionRecord(
         n=n,
         a_hex=hex_encode(rounded.a),

@@ -22,15 +22,24 @@ maximum of each S-orbit lies (the orbit holds -b = S^n b).  Only chunk
 entries whose code is in the table are tested for orbit maximality, so
 nothing of size 2^n is held; jobs > 1 splits the range into shards.
 
-Classification groups the surviving pairs by Gram matrix equivalence
-and tags each class that matches a Paley-type reference:
-"P" for the Paley gram on GF(2n-1), "DP" for the doubled Paley gram on
-GF(n-1), "CDP" for its conjugate; ties are reported with the priority
+Classification groups the surviving pairs by Gram matrix equivalence.
+It first collapses them into orbits of the decimations j -> kj mod 2n,
+for odd k coprime to 2n, applied to the nega-periodic extension of both
+rows (Dokovic-Kotsireas, as above): the block matrix diag(R_k, R_k) H
+diag(R_k, R_k)^T is again a solution, and after re-canonicalizing b by
+S^t the signed permutation diag(Z^t R_k, R_k) is a certificate carrying
+one gram onto the other, verified exactly before each merge.  Only the
+orbit roots (least input index) then go through the fingerprint and
+are_equivalent, so the classes stay correct where orbits are finer.
+Each class that matches a Paley-type reference is tagged: "P" for the
+Paley gram on GF(2n-1), "DP" for the doubled Paley gram on GF(n-1),
+"CDP" for its conjugate; ties are reported with the priority
 P > DP > CDP.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -38,7 +47,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import circulant
-from .equiv import are_equivalent, equivalence_fingerprint
+from .equiv import (EquivalenceCertificate, _verify_certificate, are_equivalent,
+                    equivalence_fingerprint)
 from .frames import GramMatrix
 from .hadamard import BlockSkewHadamard, assemble, block_etf_gram, hex_decode, hex_encode
 from .paley import FiniteField, conj_double_paley_gram, double_paley_gram, paley_gram
@@ -85,10 +95,11 @@ def _profile_codes(x, n: int, complement: bool = False):
     return code
 
 
-def canonicalize_b(b) -> tuple:
-    """Representative of the orbit of b under sign-twisted rotations and
-    negation: the encoding-maximal member (negation is S^n, so the whole
-    orbit is the S-orbit of length dividing 2n)."""
+def _canonical_shift(b) -> tuple:
+    """(canonical b, t) with canonical b == S^t b, the encoding-maximal
+    member of the orbit of b under sign-twisted rotations and negation
+    (negation is S^n, so the whole orbit is the S-orbit of length dividing
+    2n)."""
     t = tuple(int(s) for s in b)
     if any(s not in (1, -1) for s in t):
         raise ValueError("expected a +-1 vector")
@@ -96,7 +107,14 @@ def canonicalize_b(b) -> tuple:
     orbit = [_pack(t)]
     for _ in range(2 * n - 1):
         orbit.append(_shift(orbit[-1], n))
-    return _unpack(max(orbit), n)
+    best = max(orbit)
+    return _unpack(best, n), orbit.index(best)
+
+
+def canonicalize_b(b) -> tuple:
+    """Representative of the orbit of b under sign-twisted rotations and
+    negation: the encoding-maximal member."""
+    return _canonical_shift(b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,62 +285,137 @@ def record_gram(record) -> GramMatrix:
     return block_etf_gram(record.matrix())
 
 
+def paley_tags(n: int, grams) -> List[tuple]:
+    """The Paley-type tags of each of the given pairwise inequivalent
+    grams, in the order P, DP, CDP.  Each reference is tested against the
+    grams in order and stops at its first match: it can match at most one
+    of them."""
+    tags: List[list] = [[] for _ in grams]
+    for tag, ref in paley_reference_grams(n).items():
+        for found, G in zip(tags, grams):
+            if are_equivalent(G, ref, assume_transitive=True).equivalent:
+                found.append(tag)
+                break
+    return [tuple(t) for t in tags]
+
+
+def _nega_perm(n: int, k: int, t: int = 0) -> np.ndarray:
+    """Signed permutation R with R[i, r mod n] = +1 if r < n else -1, for
+    r = (k i + t) mod 2n.  With v~ the nega-periodic extension of a row v
+    (v~[j + n] = -v~[j]), R N R^T for odd k coprime to 2n is the
+    negacirculant of the decimated row j -> v~[k j]; and R = Z^t for
+    k = 1, where negacirculant(S^t v) == Z^t negacirculant(v)."""
+    r = (k * np.arange(n) + t) % (2 * n)
+    R = np.zeros((n, n), dtype=np.int64)
+    R[np.arange(n), r % n] = np.where(r < n, 1, -1)
+    return R
+
+
+def _decimations(n: int) -> list:
+    """R_k for every odd k coprime to 2n.  The alternation
+    v_j -> (-1)^j v_j of both rows is among them (it is R_(n+1)), and
+    negating b needs none: -b = S^n b has the same canonical form."""
+    return [_nega_perm(n, k) for k in range(1, 2 * n, 2) if math.gcd(k, n) == 1]
+
+
+def _image(H: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """((a', b'), certificate) for the solution diag(X, Y) H diag(X, Y)^T
+    of the sign matrix H, with b' re-canonicalized by S^t.  The
+    certificate is the signed permutation M = diag(Z^t X, Y); M is real,
+    so it carries the gram of H onto the image's gram as G' = M G M^T."""
+    n = len(H) // 2
+    a = tuple((X @ H[:n, :n] @ X.T)[0].tolist())
+    b, t = _canonical_shift((X @ H[:n, n:] @ Y.T)[0])
+    M = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    M[:n, :n] = _nega_perm(n, 1, t) @ X
+    M[n:, n:] = Y
+    # one +-1 per row and column: column j goes to row p[j] with phase M[p[j], j]
+    cert = EquivalenceCertificate(tuple(np.abs(M).argmax(axis=0).tolist()),
+                                  tuple(complex(x) for x in M.sum(axis=1)))
+    return (a, b), cert
+
+
+def _symmetry_orbits(n: int, solutions, grams) -> List[int]:
+    """Union-find root (least index) of each solution under the
+    decimations, applied to both rows.  Images outside the list are
+    skipped; every union is backed by a certificate verified exactly."""
+    index: dict = {}
+    for i in reversed(range(len(solutions))):
+        index[solutions[i].a, solutions[i].b] = i
+    root = list(range(len(solutions)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    gens = _decimations(n)
+    for i in range(len(solutions)):
+        H = solutions[i].matrix()
+        for R in gens:
+            pair, cert = _image(H, R, R)
+            j = index.get(pair)
+            if j is None:
+                continue
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                continue
+            if not _verify_certificate(cert, grams[i], grams[j]):
+                raise RuntimeError("internal error: orbit certificate failed verification")
+            root[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(solutions))]
+
+
 def classify(n: int, jobs: int = 1, solutions=None) -> List[SolutionRecord]:
     """Group the solutions for this n into equivalence classes of their
     Gram matrices and tag Paley-type classes.  Returns one record per
-    class, ordered and represented by the least (hex(a), hex(b)) member,
-    class_id counting from 1."""
-    if solutions is None:
-        solutions = enumerate(n, jobs=jobs)
-    reps: List[GramMatrix] = []
-    members: List[BlockSkewHadamard] = []
+    class, ordered and represented by its first member in input order
+    (the least (hex(a), hex(b)) member for the enumerated list), class_id
+    counting from 1.
+
+    The solutions are first collapsed into symmetry orbits, each merge
+    carrying a verified certificate; only the orbit roots are compared by
+    fingerprint and are_equivalent, so orbits finer than classes are
+    still joined."""
+    solutions = list(enumerate(n, jobs=jobs) if solutions is None else solutions)
+    if any(sol.n != n for sol in solutions):
+        raise ValueError("solutions disagree with n")
+    grams = [record_gram(sol) for sol in solutions]
+    reps: List[int] = []
     fingerprints: List[tuple] = []
-    for sol in solutions:
-        G = record_gram(sol)
-        fp = equivalence_fingerprint(G)
-        placed = False
-        for i in range(len(reps)):
-            # fingerprints are invariants of these (vertex-transitive)
-            # grams, so unequal fingerprints settle inequivalence cheaply
-            if fingerprints[i] != fp:
-                continue
-            if are_equivalent(reps[i], G, assume_transitive=True).equivalent:
-                placed = True
-                break
-        if not placed:
-            reps.append(G)
-            members.append(sol)
+    roots = _symmetry_orbits(n, solutions, grams)
+    for i in range(len(solutions)):
+        if roots[i] != i:
+            continue
+        fp = equivalence_fingerprint(grams[i])
+        # fingerprints are invariants of these (vertex-transitive)
+        # grams, so unequal fingerprints settle inequivalence cheaply
+        if not any(f == fp and are_equivalent(grams[j], grams[i], assume_transitive=True).equivalent
+                   for j, f in zip(reps, fingerprints)):
+            reps.append(i)
             fingerprints.append(fp)
-    refs = paley_reference_grams(n)
-    records = []
-    for i in range(len(reps)):
-        tags = tuple(
-            tag for tag in ("P", "DP", "CDP")
-            if tag in refs
-            and are_equivalent(reps[i], refs[tag], assume_transitive=True).equivalent
-        )
-        records.append(SolutionRecord(
-            n=n,
-            a_hex=hex_encode(members[i].a),
-            b_hex=hex_encode(members[i].b),
-            symmetry_type=tags[0] if tags else None,
-            class_id=i + 1,
-            all_types=tags,
-        ))
-    return records
+    tags = paley_tags(n, [grams[i] for i in reps])
+    return [SolutionRecord(n=n, a_hex=hex_encode(solutions[i].a), b_hex=hex_encode(solutions[i].b),
+                           symmetry_type=t[0] if t else None, class_id=c, all_types=t)
+            for c, i, t in zip(range(1, len(reps) + 1), reps, tags)]
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
+def format_records(records) -> str:
+    """One line per record: tab-separated n, hex(a), hex(b), type ('-'
+    when untyped), class_id."""
+    return "".join(f"{r.n}\t{r.a_hex}\t{r.b_hex}\t{r.symmetry_type or '-'}\t{r.class_id}\n"
+                   for r in records)
+
+
 def save_records(records, path):
-    """Tab-separated rows n, hex(a), hex(b), type ('-' when untyped),
-    class_id; UTF-8 text."""
+    """format_records(records) as UTF-8 text."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            t = r.symmetry_type if r.symmetry_type else "-"
-            fh.write(f"{r.n}\t{r.a_hex}\t{r.b_hex}\t{t}\t{r.class_id}\n")
+        fh.write(format_records(records))
 
 
 def load_records(path) -> List[SolutionRecord]:

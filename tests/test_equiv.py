@@ -16,9 +16,7 @@ from skewframes.equiv import (
     EquivalenceCertificate,
     NotEtfGramError,
     are_equivalent,
-    canonical_profile,
     equivalence_fingerprint,
-    invariant_signature,
     normalize,
 )
 from skewframes.frames import GramMatrix
@@ -62,14 +60,6 @@ def test_normalize_rejects_bad_anchor_and_non_etf_gram():
         normalize(G, anchor=99)
     with pytest.raises(NotEtfGramError):
         normalize(GramMatrix(np.eye(4)))
-
-
-def test_invariant_signature_is_deterministic():
-    G = row_gram(ROW_BY_KEY[(8, "F7", "ED")])
-    a = invariant_signature(normalize(G, 0))
-    b = invariant_signature(normalize(G, 0))
-    assert a == b
-    assert a[0] == G.size
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +158,3 @@ def test_fingerprint_is_invariant_under_monomial_transforms():
     for _ in range(3):
         H = random_certificate(rng, G.size).apply(G)
         assert equivalence_fingerprint(H) == fp
-
-
-def test_canonical_profile_is_invariant_under_monomial_transforms():
-    G = row_gram(ROW_BY_KEY[(6, "24", "02")])
-    prof = canonical_profile(G)
-    rng = np.random.default_rng(10)
-    for _ in range(2):
-        H = random_certificate(rng, G.size).apply(G)
-        assert canonical_profile(H) == prof
-
-
-def test_profile_separates_sizes():
-    a = canonical_profile(row_gram(ROW_BY_KEY[(2, "2", "0")]))
-    b = canonical_profile(row_gram(ROW_BY_KEY[(4, "8", "2")]))
-    assert a != b

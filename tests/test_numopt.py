@@ -8,6 +8,7 @@ suite.
 import numpy as np
 import pytest
 
+from skewframes import numopt
 from skewframes.frames import DihedralFlavor, coherence, dihedral_orbit, is_etf, welch_bound
 from skewframes.hadamard import hex_decode, is_skew_hadamard
 from skewframes.numopt import (
@@ -71,6 +72,21 @@ def test_minimize_converges_at_n_2():
     orbit = dihedral_orbit(res.v, DihedralFlavor.PROJECTIVE)
     assert is_etf(orbit, rel_tol=1e-6)
     assert coherence(orbit) - welch_bound(4, 2) < 1e-6
+
+
+def test_minimize_keeps_the_least_value_restart_that_passes_the_gate(monkeypatch):
+    cfg = MinimizeConfig(n=2, restarts=4, seed=11)
+    values = [d.value for d in minimize_fiducial(cfg).diagnostics]
+    worst = values.index(max(values))
+    verdicts = iter(k == worst for k in range(4))
+    # only the highest-value restart passes: it is kept
+    monkeypatch.setattr(numopt, "is_etf", lambda orbit, rel_tol: next(verdicts))
+    res = minimize_fiducial(cfg)
+    assert res.converged and res.value == values[worst]
+    # none passes: the least value is kept, unconverged
+    monkeypatch.setattr(numopt, "is_etf", lambda orbit, rel_tol: False)
+    res = minimize_fiducial(cfg)
+    assert not res.converged and res.value == min(values)
 
 
 def test_minimize_reports_nonconvergence_with_tiny_budget():

@@ -12,14 +12,22 @@ bit-sliced search at small n, testing the defining matrix identity
 directly on every candidate pair.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from skewframes import search
+from skewframes.algebra import negacirculant
+from skewframes.equiv import _verify_certificate, are_equivalent
 from skewframes.hadamard import hex_encode, is_skew_hadamard
 from skewframes.search import (
     _CHUNK,
     SolutionRecord,
     _correlation_popcounts,
+    _decimations,
+    _image,
+    _nega_perm,
     _pack,
     _shift,
     _unpack,
@@ -208,6 +216,95 @@ def test_classify_accepts_explicit_solutions():
     assert records[0].a_hex == "8"
     assert records[0].b_hex == "D"
     assert records[0].symmetry_type == "P"
+
+
+# ---------------------------------------------------------------------------
+# symmetry orbits
+
+
+def test_nega_perm_decimates_and_shifts_negacirculants():
+    rng = np.random.default_rng(6)
+    for n in (4, 6, 8):
+        v = tuple(int(s) for s in rng.choice([1, -1], size=n))
+        ext = v + tuple(-s for s in v)  # nega-periodic extension
+        N = negacirculant(v).real
+        for k in range(1, 2 * n, 2):
+            if math.gcd(k, n) == 1:
+                R = _nega_perm(n, k)
+                decimated = [ext[k * j % (2 * n)] for j in range(n)]
+                assert np.array_equal(R @ N @ R.T, negacirculant(decimated).real)
+        w = v
+        for t in range(2 * n):
+            assert np.array_equal(_nega_perm(n, 1, t) @ N, negacirculant(w).real)
+            w = twisted_rotate(w)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_symmetry_images_are_solutions_with_verified_certificates(n):
+    sols = enumerate(n)
+    by_pair = {(s.a, s.b): s for s in sols}
+    eye = np.eye(n, dtype=np.int64)
+    alternation = np.diag([(-1) ** j for j in range(n)])
+    # the alternation is the decimation by n + 1, so _decimations has it
+    assert np.array_equal(_nega_perm(n, n + 1), alternation)
+    decimations = _decimations(n)
+    assert len(decimations) == sum(math.gcd(k, 2 * n) == 1 for k in range(2 * n))
+    generators = [(R, R) for R in decimations] + [(alternation, alternation), (eye, -eye)]
+    for s in sols:
+        G = record_gram(s)
+        for X, Y in generators:
+            pair, cert = _image(s.matrix(), X, Y)
+            assert pair in by_pair
+            assert _verify_certificate(cert, G, record_gram(by_pair[pair]))
+        # negating b is undone by canonicalize_b: the image is s itself
+        assert _image(s.matrix(), eye, -eye)[0] == (s.a, s.b)
+
+
+def pairwise_classes(solutions):
+    """Reference classification: every solution against every class
+    representative so far, first member in input order represents."""
+    reps = []
+    for s in solutions:
+        G = record_gram(s)
+        if not any(are_equivalent(record_gram(r), G, assume_transitive=True).equivalent
+                   for r in reps):
+            reps.append(s)
+    return [(hex_encode(r.a), hex_encode(r.b)) for r in reps]
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_classify_matches_pairwise_classification(n):
+    given = list(reversed(enumerate(n)))
+    records = classify(n, solutions=reversed(enumerate(n)))
+    assert [(r.a_hex, r.b_hex) for r in records] == pairwise_classes(given)
+    assert [r.class_id for r in records] == list(range(1, len(records) + 1))
+    assert sorted(r.all_types for r in records) == sorted(r.all_types for r in classify(n))
+
+
+def test_classify_joins_orbits_finer_than_classes(monkeypatch):
+    expected = classify(8)
+    # with the identity as the only decimation every solution is its own orbit
+    monkeypatch.setattr(search, "_decimations", lambda n: [_nega_perm(n, 1)])
+    assert classify(8) == expected
+
+
+def test_classify_compares_only_orbit_roots(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return are_equivalent(*args, **kwargs)
+
+    monkeypatch.setattr(search, "are_equivalent", counting)
+    records = classify(16)
+    assert len(records) == 3
+    # C(3, 2) between the three orbit roots, then 3 for the P reference
+    assert len(calls) <= 3 + 3
+
+
+def test_classify_rejects_solutions_of_another_size():
+    with pytest.raises(ValueError):
+        classify(6, solutions=enumerate(4))
 
 
 def test_record_gram_accepts_both_record_kinds():
