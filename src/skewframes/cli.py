@@ -272,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iterations", type=int, default=4000)
+    p.add_argument("--max-iterations", type=int, default=4000,
+                   help="L-BFGS iterations per restart")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--strict", action="store_true",
                    help="optimize the strict flavor instead of projective")
@@ -282,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iterations", type=int, default=4000)
+    p.add_argument("--max-iterations", type=int, default=4000,
+                   help="L-BFGS iterations per restart")
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_discover)
 

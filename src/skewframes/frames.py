@@ -180,6 +180,15 @@ def _projective_generators(n: int):
     return M, T
 
 
+def _generators(n: int, flavor: DihedralFlavor):
+    """The flavor's generator pair (M, T): M diagonal, T a permutation."""
+    if flavor is DihedralFlavor.STRICT:
+        return _strict_generators(n)
+    if flavor is DihedralFlavor.PROJECTIVE:
+        return _projective_generators(n)
+    raise ValueError("unknown flavor")
+
+
 def dihedral_orbit(v, flavor: DihedralFlavor) -> Configuration:
     """Columns [v, Mv, ..., M^(n-1)v, Tv, MTv, ..., M^(n-1)Tv] for the
     flavor's generator pair (M, T); v must be a unit vector."""
@@ -192,12 +201,7 @@ def dihedral_orbit(v, flavor: DihedralFlavor) -> Configuration:
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("orbit seed must be a unit vector")
     n = w.size
-    if flavor is DihedralFlavor.STRICT:
-        M, T = _strict_generators(n)
-    elif flavor is DihedralFlavor.PROJECTIVE:
-        M, T = _projective_generators(n)
-    else:
-        raise ValueError("unknown flavor")
+    M, T = _generators(n, flavor)
     cols = []
     x = w
     for _ in range(n):

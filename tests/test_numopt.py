@@ -1,15 +1,26 @@
 """Tests for the numerical fiducial search and the discovery pipeline.
 
-Kept cheap: every optimizer call here uses a handful of restarts at
-n = 2 or 3.  The full-budget discovery runs live in the acceptance
-suite.
+The closed-form orbit potential and its gradient are checked against
+the dense frame potential and central differences.  Optimizer calls
+stay cheap: a handful of restarts at n <= 6, and one 50-restart
+discovery at n = 8 (under a second).  The full-budget discovery runs
+at n = 2, 4, 6 live in the acceptance suite.
 """
 
 import numpy as np
 import pytest
 
+from reference_rows import row_gram, rows_for
 from skewframes import numopt
-from skewframes.frames import DihedralFlavor, coherence, dihedral_orbit, is_etf, welch_bound
+from skewframes.equiv import _verify_certificate, are_equivalent
+from skewframes.frames import (
+    DihedralFlavor,
+    coherence,
+    dihedral_orbit,
+    frame_potential,
+    is_etf,
+    welch_bound,
+)
 from skewframes.hadamard import hex_decode, is_skew_hadamard
 from skewframes.numopt import (
     DiscoveryFailure,
@@ -19,7 +30,7 @@ from skewframes.numopt import (
     discover,
     minimize_fiducial,
 )
-from skewframes.search import SolutionRecord
+from skewframes.search import SolutionRecord, record_gram
 from skewframes.hadamard import assemble
 
 
@@ -44,6 +55,45 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         MinimizeConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# closed-form potential
+
+
+@pytest.mark.parametrize("flavor", list(DihedralFlavor))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_form_potential_equals_the_dense_orbit_potential(flavor, n):
+    R, pi = numopt._orbit_kernel(n, flavor)
+    rng = np.random.default_rng(n)
+    for p in (3, 4, 5, 6):
+        x = 1.7 * rng.standard_normal(2 * n)  # not unit: the scale cancels
+        v = (x[:n] + 1j * x[n:]) / np.linalg.norm(x)
+        dense = frame_potential(dihedral_orbit(v, flavor), p)
+        value, _ = numopt._potential(x, R, pi, p)
+        assert abs(value - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("flavor", list(DihedralFlavor))
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_closed_form_gradient_matches_central_differences(flavor, n):
+    R, pi = numopt._orbit_kernel(n, flavor)
+    rng = np.random.default_rng(100 + n)
+    h = 1e-6
+    for p in (3, 4, 6):
+        x = rng.standard_normal(2 * n)
+        _, grad = numopt._potential(x, R, pi, p)
+        steps = h * np.eye(2 * n)
+        numeric = np.array([
+            numopt._potential(x + e, R, pi, p)[0] - numopt._potential(x - e, R, pi, p)[0]
+            for e in steps]) / (2 * h)
+        assert np.max(np.abs(grad - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
+        # a stack of points evaluates row by row
+        values, grads = numopt._potential(x + steps, R, pi, p)
+        for k, e in enumerate(steps):
+            value, g = numopt._potential(x + e, R, pi, p)
+            assert values[k] == pytest.approx(value, rel=1e-14)
+            assert np.max(np.abs(grads[k] - g)) <= 1e-12 * np.max(np.abs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +139,16 @@ def test_minimize_keeps_the_least_value_restart_that_passes_the_gate(monkeypatch
     assert not res.converged and res.value == min(values)
 
 
+def test_passing_restarts_meet_the_welch_bound_far_inside_the_gate():
+    # L-BFGS alone leaves angle spreads up to about 1e-7, at the gate;
+    # the Newton polish takes every passing restart to rounding level
+    res = minimize_fiducial(MinimizeConfig(6, restarts=9, seed=7))
+    passing = [d for d in res.diagnostics if d.converged]
+    assert res.converged and passing
+    for d in passing:
+        assert d.coherence_gap < 1e-12
+
+
 def test_minimize_reports_nonconvergence_with_tiny_budget():
     cfg = MinimizeConfig(n=3, restarts=2, max_iterations=2, seed=1)
     res = minimize_fiducial(cfg)
@@ -118,6 +178,22 @@ def test_discover_full_pipeline_at_n_2():
     a = hex_decode(rec.a_hex, 2)
     b = hex_decode(rec.b_hex, 2)
     assert is_skew_hadamard(assemble(a, b))
+
+
+def test_discover_finds_a_reference_class_at_n_8():
+    rec = discover(8, MinimizeConfig(8, p=4, restarts=50, seed=7))
+    assert isinstance(rec, SolutionRecord)
+    assert rec.symmetry_type is not None
+    G = record_gram(rec)
+    matches = []
+    for row in rows_for(8):
+        G_ref = row_gram(row)
+        result = are_equivalent(G_ref, G, assume_transitive=True)
+        if result.equivalent:
+            assert _verify_certificate(result.certificate, G_ref, G)
+            matches.append(row)
+    assert len(matches) == 1
+    assert rec.all_types == matches[0][3]
 
 
 def test_discover_reports_no_convergence():
