@@ -4,8 +4,6 @@ and classification up to Gram matrix equivalence."""
 
 from .algebra import (
     CycloPoly,
-    ExactComplexMatrix,
-    GaussianRational,
     RootIndex,
     circulant,
     circulant_eigenvalue,

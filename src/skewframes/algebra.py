@@ -12,7 +12,6 @@ Conventions used throughout the package:
 - negacirculant(v) does the same but the entries that wrap around the
   right edge pick up a minus sign: row i+1 is row i rotated right with
   the wrapped entry negated.
-- Exact scalars are Gaussian rationals (pairs of fractions.Fraction).
 - Exact cyclotomic arithmetic represents an element of Q(zeta_m) as a
   sparse dict {exponent: Fraction} in zeta_m = exp(-2j*pi/m), reduced
   against the m-th cyclotomic polynomial only when testing equality.
@@ -191,124 +190,6 @@ def negacirculant_eigenvalue(N, zeta: RootIndex, tol: float = 1e-9) -> complex:
     table = _root_table(zeta.order)
     k = np.arange(n)
     return complex(np.sum(A[0] * table[(zeta.index * k) % zeta.order]))
-
-
-# ---------------------------------------------------------------------------
-# exact Gaussian-rational matrices
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """a + b*i with a, b rational, for exact complex linear algebra."""
-
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-
-def gq(re=0, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
-class ExactComplexMatrix:
-    """Immutable dense matrix of GaussianRational entries."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        data = tuple(tuple(row) for row in data)
-        if not data or not data[0]:
-            raise ValueError("matrix must be non-empty")
-        if any(len(row) != len(data[0]) for row in data):
-            raise ValueError("rows must have equal length")
-        self.rows = len(data)
-        self.cols = len(data[0])
-        self.data = data
-
-    @classmethod
-    def from_complex_integers(cls, M, scale=1):
-        """Round a complex array with (scaled) Gaussian-integer entries."""
-        A = np.asarray(M, dtype=complex) * scale
-        R = np.rint(A.real).astype(int)
-        I = np.rint(A.imag).astype(int)
-        if float(np.max(np.abs(A - (R + 1j * I)))) > 1e-6:
-            raise ValueError("entries are not Gaussian integers at this scale")
-        return cls([[gq(int(R[i, j]), int(I[i, j])) for j in range(A.shape[1])]
-                    for i in range(A.shape[0])])
-
-    @classmethod
-    def identity(cls, n, scale=1):
-        z, o = gq(0), gq(scale)
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)])
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        zero = gq(0)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = zero
-                for k in range(self.cols):
-                    s = s + self.data[i][k] * other.data[k][j]
-                row.append(s)
-            out.append(row)
-        return ExactComplexMatrix(out)
-
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
-
-    def _zip(self, other, op):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return ExactComplexMatrix(
-            [[op(a, b) for a, b in zip(r0, r1)] for r0, r1 in zip(self.data, other.data)]
-        )
-
-    def scale(self, c: GaussianRational):
-        return ExactComplexMatrix([[c * x for x in row] for row in self.data])
-
-    def conjugate_transpose(self):
-        return ExactComplexMatrix(
-            [[self.data[i][j].conjugate() for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __eq__(self, other):
-        return (isinstance(other, ExactComplexMatrix)
-                and self.data == other.data)
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.data for x in row)
-
-    def to_complex(self) -> np.ndarray:
-        return np.array([[x.to_complex() for x in row] for row in self.data])
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,9 @@ from .hadamard import (
 from .search import SolutionRecord, paley_tags
 
 
+_TIE_RTOL = 1e-12  # restart values this close, relatively, count as tied
+
+
 @dataclass(frozen=True)
 class MinimizeConfig:
     """Knobs for the restarted L-BFGS search; max_iterations bounds the
@@ -155,7 +158,9 @@ def minimize_fiducial(config: MinimizeConfig,
     frame_potential of the orbit the ETF gate (is_etf at
     config.angle_rel_tol) judges.  The best restart is the one with the
     smallest value among those that pass the gate, or among all
-    restarts when none passes; the earliest restart wins ties.
+    restarts when none passes; the earliest restart wins ties.  Passing
+    values within a relative 1e-12 of the smallest passing value count as
+    tied, so the choice does not follow rounding noise.
     """
     # scipy.optimize is most of the package's import time; only this needs it
     from scipy.optimize import minimize
@@ -186,7 +191,14 @@ def minimize_fiducial(config: MinimizeConfig,
         candidates.append((not ok, value, v))
     if not candidates:
         raise RuntimeError("all restarts degenerated to the zero vector")
-    failed, value, v = min(candidates, key=lambda c: c[:2])
+    passing = [c for c in candidates if not c[0]]
+    if passing:
+        # passing restarts sit at one minimum and differ only in rounding,
+        # so values within _TIE_RTOL of the least tie; the earliest wins
+        least = min(c[1] for c in passing)
+        failed, value, v = next(c for c in passing if c[1] <= least + _TIE_RTOL * abs(least))
+    else:
+        failed, value, v = min(candidates, key=lambda c: c[1])
     return MinimizeResult(v=v, value=value, converged=not failed, diagnostics=diagnostics)
 
 

@@ -17,10 +17,10 @@ turns each correlation into an xor plus popcount.
 The enumeration matches autocorrelation profiles (Dokovic-Kotsireas,
 "Compression of periodic complementary sequences", 2015): the 2^(n/2)
 admissible a fill a table from complementary profile codes to a rows,
-then b is streamed in numpy chunks over [2^(n-1), 2^n), where the
-maximum of each S-orbit lies (the orbit holds -b = S^n b).  Only chunk
+then b is streamed in numpy chunks over the odd x in [3 * 2^(n-2), 2^n),
+where the maximum of each S-orbit lies (proof in _sweep).  Only chunk
 entries whose code is in the table are tested for orbit maximality, so
-nothing of size 2^n is held; jobs > 1 splits the range into shards.
+nothing of size 2^n is held; jobs > 1 splits the candidates into shards.
 
 Classification groups the surviving pairs by Gram matrix equivalence.
 It first collapses them into orbits of the decimations j -> kj mod 2n,
@@ -125,13 +125,24 @@ _CHUNK = 1 << 14  # encodings per step of the b sweep
 
 
 def _sweep(args):
-    """Canonical b in [lo, hi) whose profile code is in the sorted array
-    targets.  Each chunk is filtered by profile; only the hits are tested
-    for orbit maximality."""
-    n, lo, hi, targets = args
+    """Canonical b among the odd encodings x = base + 2i, i in [lo, hi),
+    whose profile code is in the sorted array targets.  Each chunk is
+    filtered by profile; only the hits are tested for orbit maximality.
+
+    The S-orbit of x (n even) is the set of length-n windows of the
+    antiperiodic sequence u with u[j + n] == -u[j], and its encoding
+    maximum x = v starts with bit 1 (the orbit holds -v = S^n v).  Its
+    last bit is 1 as well: if v[n-1] == -1, then S x = (1, v[0], ...,
+    v[n-2]) has a longer leading run of +1 than x, so S x > x.  And its
+    second bit is 1: if v[1] == -1, no window starts with +1, +1, so the
+    2n-cycle u has no two adjacent +1; with n of its 2n entries equal to
+    +1 it must alternate, which gives u[j + n] == u[j] for even n and
+    contradicts antiperiodicity.  So every maximum is odd and lies in
+    [3 * 2^(n-2), 2^n), the only encodings enumerate gives to this sweep."""
+    n, base, lo, hi, targets = args
     hits = [np.zeros(0, dtype=np.int64)]
     for start in range(lo, hi, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
+        x = base + 2 * np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
         code = _profile_codes(x, n)
         # bisection in the sorted targets; an index past the end wraps to a miss
         hits.append(x[targets[np.searchsorted(targets, code) % len(targets)] == code])
@@ -143,10 +154,13 @@ def _sweep(args):
     return x[keep]
 
 
-def _admissible_a(n: int):
-    """All encodings of rows a with a[0] == 1 and a[k] == a[n-k]."""
-    return [_pack([1] + [1 if f >> (min(k, n - k) - 1) & 1 else -1 for k in range(1, n)])
-            for f in range(1 << n // 2)]
+def _admissible_a(n: int) -> np.ndarray:
+    """All encodings of rows a with a[0] == 1 and a[k] == a[n-k], as an
+    int64 array: bit j of f < 2^(n/2) sets a[j+1] and a[n-1-j], which sit
+    at bits n-2-j and j of the encoding."""
+    j = np.arange(n // 2)
+    f = np.arange(1 << n // 2, dtype=np.int64)[:, None]
+    return (1 << (n - 1)) | (f >> j & 1) @ ((1 << (n - 2 - j)) | (1 << j))
 
 
 def enumerate(n: int, jobs: int = 1) -> List[BlockSkewHadamard]:
@@ -160,12 +174,14 @@ def enumerate(n: int, jobs: int = 1) -> List[BlockSkewHadamard]:
         raise ValueError("jobs must be at least 1")
     a_values = _admissible_a(n)
     table: dict = {}
-    for a, c in zip(a_values, _profile_codes(np.array(a_values), n, True).tolist()):
+    for a, c in zip(a_values.tolist(), _profile_codes(a_values, n, True).tolist()):
         table.setdefault(c, []).append(a)
     targets = np.array(sorted(table), dtype=np.int64)
-    # contiguous shards of [2^(n-1), 2^n), which holds every orbit maximum
-    bounds = [((jobs + i) << (n - 1)) // jobs for i in range(jobs + 1)]
-    shards = [(n, bounds[i], bounds[i + 1], targets) for i in range(jobs)]
+    # contiguous shards of the odd encodings in [3 * 2^(n-2), 2^n), which
+    # hold every orbit maximum (see _sweep); a shard may be empty
+    base, count = (3 << (n - 2)) | 1, ((1 << (n - 2)) + 1) // 2
+    bounds = [i * count // jobs for i in range(jobs + 1)]
+    shards = [(n, base, bounds[i], bounds[i + 1], targets) for i in range(jobs)]
     if jobs == 1:
         results = [_sweep(shards[0])]
     else:
@@ -185,7 +201,7 @@ def brute_force_enumerate(n: int) -> List[Tuple[tuple, tuple]]:
         raise ValueError("even n >= 2 only")
     out = []
     eye = 2 * n * np.eye(n, dtype=np.int64)
-    for a_enc in _admissible_a(n):
+    for a_enc in _admissible_a(n).tolist():
         a = _unpack(a_enc, n)
         for b_enc in range(1 << n):
             b = _unpack(b_enc, n)

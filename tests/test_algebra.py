@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from skewframes.algebra import (
     CycloPoly,
-    ExactComplexMatrix,
     RootIndex,
     circulant,
     circulant_eigenvalue,
@@ -27,7 +26,6 @@ from skewframes.algebra import (
     cyclotomic_idempotent,
     cyclotomic_idempotent_exact,
     cyclotomic_polynomial,
-    gq,
     is_circulant,
     is_negacirculant,
     lcm,
@@ -235,31 +233,6 @@ def test_eigenvalues_diagonalize_products():
         z = RootIndex(5, k)
         a = circulant_eigenvalue(A @ B, z)
         assert abs(a - circulant_eigenvalue(A, z) * circulant_eigenvalue(B, z)) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# exact Gaussian-rational matrices
-
-
-def test_gaussian_rational_field_ops():
-    x = gq(Fraction(1, 2), Fraction(-1, 3))
-    y = gq(2, 1)
-    assert (x + y).re == Fraction(5, 2)
-    assert (x * y).im == Fraction(-1, 6)
-    assert (x - x).is_zero()
-    assert x.conjugate().im == Fraction(1, 3)
-    assert abs(x.to_complex() - (0.5 - 1j / 3)) < 1e-15
-
-
-def test_exact_matrix_roundtrip_and_product():
-    M = np.array([[1 + 1j, -1], [2j, 3]])
-    A = ExactComplexMatrix.from_complex_integers(M)
-    eye = ExactComplexMatrix.identity(2)
-    assert A @ eye == A
-    assert (A - A).is_zero()
-    assert np.allclose(A.to_complex(), M)
-    assert np.allclose((A @ A).to_complex(), M @ M)
-    assert np.allclose(A.conjugate_transpose().to_complex(), M.conj().T)
 
 
 # ---------------------------------------------------------------------------

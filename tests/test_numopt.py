@@ -139,6 +139,20 @@ def test_minimize_keeps_the_least_value_restart_that_passes_the_gate(monkeypatch
     assert not res.converged and res.value == min(values)
 
 
+def test_minimize_ties_passing_values_within_rounding_to_the_earliest(monkeypatch):
+    cfg = MinimizeConfig(n=2, restarts=4, seed=11)
+    monkeypatch.setattr(numopt, "is_etf", lambda orbit, rel_tol: True)
+    # later restarts are lower by 1e-15 each: tied, so the first is kept
+    values = iter([1.0, 1.0 - 1e-15, 1.0 - 2e-15, 1.0 - 3e-15])
+    monkeypatch.setattr(numopt, "frame_potential", lambda orbit, p: next(values))
+    res = minimize_fiducial(cfg)
+    assert res.converged and res.value == 1.0
+    # a difference far above rounding is no tie: the least value is kept
+    values = iter([1.0, 1.0 - 1e-15, 0.5, 0.5 - 1e-15])
+    res = minimize_fiducial(cfg)
+    assert res.value == 0.5
+
+
 def test_passing_restarts_meet_the_welch_bound_far_inside_the_gate():
     # L-BFGS alone leaves angle spreads up to about 1e-7, at the gate;
     # the Newton polish takes every passing restart to rounding level
@@ -194,6 +208,23 @@ def test_discover_finds_a_reference_class_at_n_8():
             matches.append(row)
     assert len(matches) == 1
     assert rec.all_types == matches[0][3]
+
+
+def test_discover_record_does_not_follow_evaluation_order(monkeypatch):
+    # evaluating the polish's stacked gradients row by row moves the last
+    # digits of the passing values; the chosen record must stay
+    cfg = MinimizeConfig(8, p=4, restarts=50, seed=7)
+    stacked = discover(8, cfg)
+    potential = numopt._potential
+
+    def row_by_row(x, *args):
+        if x.ndim == 1:
+            return potential(x, *args)
+        values, grads = zip(*(potential(row, *args) for row in x))
+        return np.array(values), np.array(grads)
+
+    monkeypatch.setattr(numopt, "_potential", row_by_row)
+    assert discover(8, cfg) == stacked
 
 
 def test_discover_reports_no_convergence():

@@ -12,6 +12,7 @@ bit-sliced search at small n, testing the defining matrix identity
 directly on every candidate pair.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,12 +25,14 @@ from skewframes.hadamard import hex_encode, is_skew_hadamard
 from skewframes.search import (
     _CHUNK,
     SolutionRecord,
+    _admissible_a,
     _correlation_popcounts,
     _decimations,
     _image,
     _nega_perm,
     _pack,
     _shift,
+    _sweep,
     _unpack,
     brute_force_enumerate,
     canonicalize_b,
@@ -149,15 +152,42 @@ def test_enumerate_rejects_bad_input():
         enumerate(4, jobs=0)
 
 
-@pytest.mark.parametrize("n,jobs", [(6, 2), (20, 2), (20, 3)])
+@pytest.mark.parametrize("n,jobs", [(2, 2), (4, 3), (6, 2), (20, 2), (20, 3)])
 def test_enumerate_sharded_agrees_with_serial(n, jobs):
     # at n = 20 (32 solutions) every shard spans several chunks, and the
-    # jobs=3 shard bounds (2^19 / 3 apart) fall inside chunks
+    # jobs=3 shard bounds (2^17 / 3 candidates apart) fall inside chunks;
+    # at n = 2 (1 candidate) and n = 4 (2 candidates) some shards are empty
     if n == 20:
-        assert (1 << (n - 1)) // jobs >= 2 * _CHUNK
+        assert (1 << (n - 3)) // jobs >= 2 * _CHUNK
     serial = [(r.a, r.b) for r in enumerate(n)]
     sharded = [(r.a, r.b) for r in enumerate(n, jobs=jobs)]
     assert serial and serial == sharded
+
+
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_orbit_maxima_are_odd_with_leading_bits_11(n):
+    maxima = set()
+    for x in range(1 << n):
+        orbit = [x]
+        for _ in range(2 * n - 1):
+            orbit.append(_shift(orbit[-1], n))
+        maxima.add(max(orbit))
+    assert all(x % 2 == 1 and x >= 3 << (n - 2) for x in maxima)
+    # the sweep over every candidate, with every profile code a target,
+    # keeps exactly the maxima
+    count = ((1 << (n - 2)) + 1) // 2
+    targets = np.unique(search._profile_codes(np.arange(1 << n), n))
+    swept = _sweep((n, (3 << (n - 2)) | 1, 0, count, targets))
+    assert set(swept.tolist()) == maxima
+
+
+@pytest.mark.parametrize("n", range(2, 13, 2))
+def test_admissible_a_matches_symmetric_rows(n):
+    rows = [_pack((1,) + tail) for tail in itertools.product([-1, 1], repeat=n - 1)
+            if all(tail[k - 1] == tail[n - k - 1] for k in range(1, n))]
+    got = _admissible_a(n).tolist()
+    assert len(got) == len(set(got)) == 1 << n // 2
+    assert sorted(got) == sorted(rows)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
