@@ -13,8 +13,10 @@ Conventions used throughout the package:
   right edge pick up a minus sign: row i+1 is row i rotated right with
   the wrapped entry negated.
 - Exact cyclotomic arithmetic represents an element of Q(zeta_m) as a
-  sparse dict {exponent: Fraction} in zeta_m = exp(-2j*pi/m), reduced
-  against the m-th cyclotomic polynomial only when testing equality.
+  sparse dict {exponent: Fraction} in zeta_m = exp(-2j*pi/m).  Its two
+  kernels run on integers over a common denominator: equality tests sum
+  rows of a cached table of x**e mod Phi_m, and cyclo_matmul is a cyclic
+  convolution of (rows, cols, m) integer arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -226,13 +228,29 @@ def _polydiv_exact(num, den):
     return out
 
 
+@lru_cache(maxsize=None)
+def _reduction_table(m: int) -> tuple:
+    """Integer m x phi(m) table whose row e holds x**e mod Phi_m, low
+    degree first.  Shift and fold: row e+1 is x times row e, with x**phi(m)
+    replaced by x**phi(m) - Phi_m, as Phi_m is monic."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    rows = [(1,) + (0,) * (deg - 1)]
+    while len(rows) < m:
+        top = rows[-1][-1]
+        rows.append(tuple(r - top * c for r, c in zip((0,) + rows[-1][:-1], phi)))
+    return tuple(rows)
+
+
 class CycloPoly:
     """Element of Q(zeta_m), zeta_m = exp(-2j*pi/m), as a sparse
     polynomial {exponent: Fraction} with exponents taken mod m.
 
-    Products only fold exponents mod m; canonical reduction against the
-    m-th cyclotomic polynomial happens in reduced()/is_zero(), which is
-    what makes equality testing exact.
+    Products only fold exponents mod m.  reduced() and is_zero() take the
+    canonical remainder modulo the m-th cyclotomic polynomial, which is
+    what makes equality testing exact: they scale the coefficients to
+    integers over the lcm of their denominators and sum the matching rows
+    of _reduction_table(m), building Fractions only for reduced().
     """
 
     __slots__ = ("order", "coeffs")
@@ -241,9 +259,11 @@ class CycloPoly:
         self.order = order
         folded = {}
         for e, c in (coeffs or {}).items():
-            if c:
-                e %= order
-                folded[e] = folded.get(e, Fraction(0)) + c
+            e %= order
+            if e in folded:
+                folded[e] += c
+            else:
+                folded[e] = c if isinstance(c, Fraction) else Fraction(c)
         self.coeffs = {e: c for e, c in folded.items() if c}
 
     @classmethod
@@ -264,13 +284,13 @@ class CycloPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out[e] + c if e in out else c
         return CycloPoly(self.order, out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out[e] - c if e in out else -c
         return CycloPoly(self.order, out)
 
     def __mul__(self, other):
@@ -292,39 +312,34 @@ class CycloPoly:
     def conjugate(self):
         return CycloPoly(self.order, {-e % self.order: c for e, c in self.coeffs.items()})
 
-    def rescaled(self, m: int) -> "CycloPoly":
-        """View this element inside Q(zeta_m) for a multiple m of order."""
-        if m % self.order != 0:
-            raise ValueError("target order must be a multiple")
-        k = m // self.order
-        return CycloPoly(m, {e * k: c for e, c in self.coeffs.items()})
+    def _remainder(self):
+        """(numerators, den): the remainder modulo the cyclotomic
+        polynomial as phi(order) integers over the common denominator."""
+        table = _reduction_table(self.order)
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        acc = [0] * len(table[0])
+        for e, c in self.coeffs.items():
+            num = c.numerator * (den // c.denominator)
+            if e < len(acc):
+                acc[e] += num
+            else:
+                acc = [a + num * r for a, r in zip(acc, table[e])]
+        return acc, den
 
     def reduced(self) -> tuple:
-        """Canonical coefficient tuple of degree < phi(order), obtained by
-        polynomial remainder against the cyclotomic polynomial."""
-        phi = cyclotomic_polynomial(self.order)
-        deg = len(phi) - 1
-        dense = [Fraction(0)] * self.order
-        for e, c in self.coeffs.items():
-            dense[e] += c
-        for pos in range(self.order - 1, deg - 1, -1):
-            c = dense[pos]
-            if c:
-                dense[pos] = Fraction(0)
-                for i in range(deg):
-                    dense[pos - deg + i] -= c * phi[i]
-        return tuple(dense[:deg])
+        """Canonical coefficient tuple of degree < phi(order): the
+        remainder modulo the cyclotomic polynomial."""
+        acc, den = self._remainder()
+        return tuple(Fraction(a, den) for a in acc)
 
     def is_zero(self) -> bool:
-        if not self.coeffs:
-            return True
-        return all(c == 0 for c in self.reduced())
+        return not self.coeffs or not any(self._remainder()[0])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloPoly.rational(self.order, other)
         if self.order != other.order:
-            raise ValueError("mixed cyclotomic orders; rescale first")
+            raise ValueError("mixed cyclotomic orders")
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -338,45 +353,56 @@ class CycloPoly:
         return f"CycloPoly({self.order}, {self.coeffs!r})"
 
 
-def cyclo_zero_matrix(order: int, n: int):
-    z = CycloPoly(order)
-    return [[z for _ in range(n)] for _ in range(n)]
-
-
 def cyclo_identity(order: int, n: int):
-    out = cyclo_zero_matrix(order, n)
-    one = CycloPoly.rational(order, 1)
-    for i in range(n):
-        out[i][i] = one
-    return out
+    zero, one = CycloPoly(order), CycloPoly.rational(order, 1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _scaled_entries(M, order: int):
+    """M's coefficients as integers over one common denominator, keyed by
+    their flat index into a (rows, cols, order) array, and that
+    denominator."""
+    if any(x.order != order for row in M for x in row):
+        raise ValueError("mixed cyclotomic orders")
+    den = lcm(*(c.denominator for row in M for x in row for c in x.coeffs.values()))
+    cols = len(M[0])
+    return {(i * cols + j) * order + e: c.numerator * (den // c.denominator)
+            for i, row in enumerate(M) for j, x in enumerate(row)
+            for e, c in x.coeffs.items()}, den
 
 
 def cyclo_matmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            s = CycloPoly(Ai[0].order)
-            for t in range(k):
-                s = s + Ai[t] * B[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+    """Exact matrix product, exponents folded mod m as in CycloPoly.__mul__.
+
+    Each operand is scaled to integers over one common denominator and
+    packed as a (rows, cols, m) array in the basis zeta**0..zeta**(m-1);
+    the product is the cyclic convolution C = sum_s roll(A[:, :, s] @ B, s)
+    over the exponents s present in A.  It runs in int64 when
+    max|A| * max|B| * k * m < 2**62, else on exact Python ints."""
+    rows, k, cols = len(A), len(B), len(B[0])
+    if len(A[0]) != k:
+        raise ValueError("inner dimensions differ")
+    m = A[0][0].order
+    (a, a_den), (b, b_den) = _scaled_entries(A, m), _scaled_entries(B, m)
+    bound = max(map(abs, a.values()), default=0) * max(map(abs, b.values()), default=0)
+    dtype = np.int64 if bound * k * m < 1 << 62 else object
+    Aint, Bint = np.zeros(rows * k * m, dtype), np.zeros(k * cols * m, dtype)
+    Aint[list(a)], Bint[list(b)] = list(a.values()), list(b.values())
+    Aint, Bint = Aint.reshape(rows, k, m), Bint.reshape(k, cols * m)
+    # exponents s + u fall in [0, 2m); the upper half folds back at the end
+    acc = np.zeros((rows, cols, 2 * m), dtype)
+    for s in {i % m for i in a}:
+        acc[:, :, s:s + m] += (Aint[:, :, s] @ Bint).reshape(rows, cols, m)
+    C = acc[:, :, :m] + acc[:, :, m:]
+    out = [[{} for _ in range(cols)] for _ in range(rows)]
+    nz = np.nonzero(C)
+    for i, j, e, v in zip(*(x.tolist() for x in nz), C[nz].tolist()):
+        out[i][j][e] = Fraction(v, a_den * b_den)
+    return [[CycloPoly(m, d) for d in row] for row in out]
 
 
 def cyclo_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def cyclo_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def cyclo_scale(A, c):
-    return [[x * c for x in row] for row in A]
 
 
 def cyclo_conj_transpose(A):
@@ -389,7 +415,7 @@ def cyclo_is_zero(A) -> bool:
 
 
 def cyclo_equal(A, B) -> bool:
-    return cyclo_is_zero(cyclo_sub(A, B))
+    return all((a - b).is_zero() for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def cyclo_trace(A) -> CycloPoly:
@@ -399,35 +425,25 @@ def cyclo_trace(A) -> CycloPoly:
     return s
 
 
+def _exact_projector(n: int, zeta: RootIndex, ring_order, sign: int):
+    """(1/n) * (zeta**(sign * (j - i)))_{i,j} as CycloPoly entries."""
+    m = ring_order or zeta.order
+    if m % zeta.order != 0:
+        raise ValueError("ring order must be a multiple of the root order")
+    step = sign * zeta.index * (m // zeta.order)
+    inv_n = Fraction(1, n)
+    return [[CycloPoly(m, {(j - i) * step: inv_n}) for j in range(n)] for i in range(n)]
+
+
 def cyclotomic_idempotent_exact(n: int, zeta: RootIndex, ring_order: int | None = None):
     """Exact counterpart of cyclotomic_idempotent as CycloPoly entries."""
     if not zeta.annihilates(n):
         raise ValueError("zeta**n must equal 1")
-    m = ring_order or zeta.order
-    if m % zeta.order != 0:
-        raise ValueError("ring order must be a multiple of the root order")
-    step = m // zeta.order
-    inv_n = Fraction(1, n)
-    return [
-        [CycloPoly(m, {(j - i) * zeta.index * step: inv_n}) for j in range(n)]
-        for i in range(n)
-    ]
+    return _exact_projector(n, zeta, ring_order, 1)
 
 
 def nega_cyclotomic_idempotent_exact(n: int, zeta: RootIndex, ring_order: int | None = None):
     """Exact counterpart of nega_cyclotomic_idempotent as CycloPoly entries."""
     if not zeta.negates(n):
         raise ValueError("zeta**n must equal -1")
-    m = ring_order or zeta.order
-    if m % zeta.order != 0:
-        raise ValueError("ring order must be a multiple of the root order")
-    step = m // zeta.order
-    inv_n = Fraction(1, n)
-    return [
-        [CycloPoly(m, {(i - j) * zeta.index * step: inv_n}) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+    return _exact_projector(n, zeta, ring_order, -1)

@@ -20,6 +20,7 @@ Representations:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import hexdigits
 
 import numpy as np
 
@@ -246,12 +247,10 @@ def hex_decode(s: str, n: int):
     if n < 1:
         raise ValueError("length must be positive")
     digits = (n + 3) // 4
-    if not isinstance(s, str) or len(s) != digits:
+    # int(s, 16) alone would also take a sign, '_' and whitespace
+    if not isinstance(s, str) or len(s) != digits or not all(c in hexdigits for c in s):
         raise ValueError(f"expected exactly {digits} hex digits for length {n}")
-    try:
-        x = int(s, 16)
-    except ValueError:
-        raise ValueError("not a hex string") from None
+    x = int(s, 16)
     if x >= 1 << n:
         raise ValueError("encoded value overflows the stated length")
     return tuple(1 if (x >> (n - 1 - k)) & 1 else -1 for k in range(n))

@@ -20,7 +20,8 @@ admissible a fill a table from complementary profile codes to a rows,
 then b is streamed in numpy chunks over the odd x in [3 * 2^(n-2), 2^n),
 where the maximum of each S-orbit lies (proof in _sweep).  Only chunk
 entries whose code is in the table are tested for orbit maximality, so
-nothing of size 2^n is held; jobs > 1 splits the candidates into shards.
+nothing of size 2^n is held; jobs > 1 splits the candidates into shards,
+run by at most as many processes as there are processors available.
 
 Classification groups the surviving pairs by Gram matrix equivalence.
 It first collapses them into orbits of the decimations j -> kj mod 2n,
@@ -40,6 +41,7 @@ P > DP > CDP.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -185,7 +187,9 @@ def enumerate(n: int, jobs: int = 1) -> List[BlockSkewHadamard]:
     if jobs == 1:
         results = [_sweep(shards[0])]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # jobs sets the shards (and so the output order), not the process count
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(jobs, cpus or 1)) as pool:
             results = list(pool.map(_sweep, shards))
     bs = np.concatenate(results)
     records = [BlockSkewHadamard(n=n, a=_unpack(a, n), b=_unpack(b, n))

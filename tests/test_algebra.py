@@ -22,6 +22,7 @@ from skewframes.algebra import (
     cyclo_conj_transpose,
     cyclo_equal,
     cyclo_identity,
+    cyclo_is_zero,
     cyclo_matmul,
     cyclotomic_idempotent,
     cyclotomic_idempotent_exact,
@@ -34,6 +35,7 @@ from skewframes.algebra import (
     negacirculant,
     negacirculant_eigenvalue,
     root_power,
+    _reduction_table,
 )
 
 rng = np.random.default_rng(20240811)
@@ -267,12 +269,6 @@ def test_cyclopoly_matches_float_value():
     assert abs(z.to_complex() - complex(want)) < 1e-12
 
 
-def test_cyclopoly_rescale_preserves_value():
-    z = CycloPoly.root(6, 1) + CycloPoly.rational(6, Fraction(1, 2))
-    w = z.rescaled(24)
-    assert abs(z.to_complex() - w.to_complex()) < 1e-12
-
-
 def test_exact_idempotents_square_exactly():
     for n, z in ((3, RootIndex(3, 1)), (4, RootIndex(4, 3))):
         E = cyclotomic_idempotent_exact(n, z)
@@ -300,3 +296,147 @@ def test_lcm():
     assert lcm(4, 6) == 12
     assert lcm(1, 9) == 9
     assert lcm(8, 8) == 8
+
+
+# ---------------------------------------------------------------------------
+# integer kernels of the exact layer, against the dict-of-Fraction
+# algorithms they replaced, kept here as oracles
+
+# every ring order exact_ring_order produces for n <= 15 (multiples of 8
+# up to 120), and 105, the least order whose table holds a 2
+TABLE_ORDERS = list(range(8, 121, 8)) + [105]
+
+
+def long_division_remainder(p):
+    """Remainder of p modulo Phi_order by dense Fraction long division."""
+    phi = cyclotomic_polynomial(p.order)
+    deg = len(phi) - 1
+    dense = [Fraction(0)] * p.order
+    for e, c in p.coeffs.items():
+        dense[e] += c
+    for pos in range(p.order - 1, deg - 1, -1):
+        c = dense[pos]
+        if c:
+            dense[pos] = Fraction(0)
+            for i in range(deg):
+                dense[pos - deg + i] -= c * phi[i]
+    return tuple(dense[:deg])
+
+
+def naive_matmul(A, B):
+    """Entrywise sums of products of {exponent: Fraction} dicts."""
+    m = A[0][0].order
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = {}
+            for a, brow in zip(row, B):
+                for e1, c1 in a.coeffs.items():
+                    for e2, c2 in brow[j].coeffs.items():
+                        e = (e1 + e2) % m
+                        acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+            out_row.append({e: c for e, c in acc.items() if c})
+        out.append(out_row)
+    return out
+
+
+def random_cyclo_matrix(m, rows, cols, scale=1):
+    """Entries of up to five terms, exponents in range(2m), numerators up
+    to about 20 * scale and denominators up to 12."""
+    def num():
+        return int(rng.integers(-20, 21)) * scale + int(rng.integers(-20, 21))
+
+    return [[CycloPoly(m, {int(rng.integers(0, 2 * m)): Fraction(num(), int(rng.integers(1, 13)))
+                           for _ in range(int(rng.integers(0, 6)))})
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("m", TABLE_ORDERS)
+def test_reduction_table_rows_are_long_division_remainders(m):
+    table = _reduction_table(m)
+    assert len(table) == m
+    for e, row in enumerate(table):
+        assert row == long_division_remainder(CycloPoly.root(m, e))
+    assert max(abs(c) for row in table for c in row) == (2 if m == 105 else 1)
+
+
+@pytest.mark.parametrize("m", [8, 24, 56, 105, 120])
+def test_reduced_and_is_zero_match_long_division(m):
+    for _ in range(40):
+        p = random_cyclo_matrix(m, 1, 1, scale=1 << 70)[0][0]
+        want = long_division_remainder(p)
+        assert p.reduced() == want
+        assert p.is_zero() == (not any(want))
+
+
+def test_is_zero_sees_relations_of_the_field():
+    # 1 + zeta^(m/2) and 1 + zeta^(m/3) + zeta^(2m/3) vanish in Q(zeta_m)
+    # although no coefficient of them does
+    m = 120
+    assert CycloPoly(m, {0: Fraction(1), 60: Fraction(1)}).is_zero()
+    assert CycloPoly(m, {7: Fraction(3, 5), 47: Fraction(3, 5), 87: Fraction(3, 5)}).is_zero()
+    assert not CycloPoly(m, {7: Fraction(3, 5), 47: Fraction(3, 5), 87: Fraction(3, 4)}).is_zero()
+
+
+@pytest.mark.parametrize("m", [8, 24, 56, 105, 120])
+def test_cyclo_matmul_matches_naive_product(m):
+    for rows, k, cols in ((1, 1, 1), (2, 3, 4), (5, 2, 1), (3, 4, 3)):
+        A = random_cyclo_matrix(m, rows, k)
+        B = random_cyclo_matrix(m, k, cols)
+        C = cyclo_matmul(A, B)
+        assert all(x.order == m for row in C for x in row)
+        assert [[x.coeffs for x in row] for row in C] == naive_matmul(A, B)
+
+
+def test_cyclo_matmul_is_exact_past_int64():
+    # numerators of 2^40 give product coefficients past 2^79, which no
+    # int64 holds, so a correct product came from the exact-int path;
+    # one entry of 2^70 does not fit int64 even before the product
+    m = 24
+    A = random_cyclo_matrix(m, 3, 2, scale=1 << 40)
+    B = random_cyclo_matrix(m, 2, 3, scale=1 << 40)
+    A[0][0] = CycloPoly(m, {1: Fraction(1 << 40, 7)})
+    B[0][0] = CycloPoly(m, {2: Fraction(-(1 << 40), 5)})
+    B[1][2] = CycloPoly(m, {3: Fraction(1 << 70, 11), 30: Fraction(1, 3)})
+    want = naive_matmul(A, B)
+    assert max(abs(c.numerator) for row in want for d in row for c in d.values()) > 1 << 79
+    assert [[x.coeffs for x in row] for row in cyclo_matmul(A, B)] == want
+
+
+def test_cyclo_matmul_int64_bound_counts_the_inner_size_and_order():
+    # every coefficient of A and B is 2^29 and every exponent is present,
+    # so each product coefficient is k * m * 2^58 = 2^63 with k = 4 and
+    # m = 8: past int64, although max|A| * max|B| times k or m alone is not
+    m, k = 8, 4
+    full = CycloPoly(m, {e: Fraction(1 << 29) for e in range(m)})
+    A = [[full] * k]
+    B = [[full] for _ in range(k)]
+    C = cyclo_matmul(A, B)
+    assert C[0][0].coeffs == {e: Fraction(1 << 63) for e in range(m)}
+    assert [[x.coeffs for x in row] for row in C] == naive_matmul(A, B)
+
+
+def test_cyclo_matmul_rejects_mismatched_operands():
+    A = random_cyclo_matrix(8, 2, 3)
+    with pytest.raises(ValueError):
+        cyclo_matmul(A, random_cyclo_matrix(8, 2, 2))
+    with pytest.raises(ValueError):
+        cyclo_matmul(A, random_cyclo_matrix(16, 3, 2))
+
+
+def test_exact_checks_reject_broken_projectors():
+    # n = 15, projective flavor: the ring order is 120
+    n, m = 15, 120
+    P0 = nega_cyclotomic_idempotent_exact(n, RootIndex(2 * n, 1), m)
+    P1 = nega_cyclotomic_idempotent_exact(n, RootIndex(2 * n, 3), m)
+    assert cyclo_equal(cyclo_matmul(P0, P0), P0)
+    assert cyclo_is_zero(cyclo_matmul(P0, P1))
+    assert not cyclo_is_zero(cyclo_matmul(P0, P0))
+    broken = [row[:] for row in P0]
+    broken[2][5] = broken[2][5] + CycloPoly.root(m, 8, Fraction(1, n * n))
+    assert not cyclo_equal(cyclo_matmul(broken, broken), broken)
+    # adding 1 + zeta^60 = 0 changes the dict, not the element
+    same = [row[:] for row in P0]
+    same[2][5] = same[2][5] + CycloPoly(m, {0: Fraction(1), 60: Fraction(1)})
+    assert cyclo_equal(cyclo_matmul(same, same), P0)

@@ -83,6 +83,14 @@ def test_verify_bad_hex_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits,n", [("-1", "8"), ("1_F", "12")])
+def test_decode_rejects_a_sign_or_underscore(digits, n, capsys):
+    assert run(["decode", "--hex", digits, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hex digits" in captured.err
+
+
 def test_decode_and_encode_are_inverse(capsys):
     assert run(["decode", "--hex", "24", "--n", "6"]) == 0
     signs = capsys.readouterr().out.strip()

@@ -247,6 +247,20 @@ def test_hex_decode_validation():
         hex_decode("24", 0)
 
 
+@pytest.mark.parametrize("s,n", [
+    ("-1", 8),     # int(s, 16) reads -1, whose low bits are all set
+    ("+1", 8),
+    ("1_F", 12),   # int(s, 16) reads 0x1F
+    (" 1", 8),
+    ("1 ", 8),
+    ("0x", 8),
+    ("\uff11\uff12", 8),  # full-width digits, which int() accepts
+])
+def test_hex_decode_rejects_anything_but_hex_digits(s, n):
+    with pytest.raises(ValueError):
+        hex_decode(s, n)
+
+
 def test_hex_decode_accepts_lower_case():
     assert hex_decode("f7", 8) == hex_decode("F7", 8)
 

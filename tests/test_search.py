@@ -14,6 +14,7 @@ directly on every candidate pair.
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -162,6 +163,32 @@ def test_enumerate_sharded_agrees_with_serial(n, jobs):
     serial = [(r.a, r.b) for r in enumerate(n)]
     sharded = [(r.a, r.b) for r in enumerate(n, jobs=jobs)]
     assert serial and serial == sharded
+
+
+def test_enumerate_pool_is_capped_at_available_processors(monkeypatch):
+    # a stand-in executor records its size and maps in this process, so
+    # the test starts no worker
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    serial = [(r.a, r.b) for r in enumerate(6)]
+    assert [(r.a, r.b) for r in enumerate(6, jobs=64)] == serial
+    assert [(r.a, r.b) for r in enumerate(6, jobs=2)] == serial
+    assert sizes == [3, 2]
 
 
 @pytest.mark.parametrize("n", range(2, 15, 2))
