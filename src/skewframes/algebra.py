@@ -281,13 +281,19 @@ class CycloPoly:
             raise ValueError("need 4 | order to embed Gaussian rationals")
         return cls(order, {0: Fraction(re), (3 * order) // 4: Fraction(im)})
 
+    def _same_order(self, other):
+        if other.order != self.order:
+            raise ValueError("mixed cyclotomic orders")
+
     def __add__(self, other):
+        self._same_order(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out[e] + c if e in out else c
         return CycloPoly(self.order, out)
 
     def __sub__(self, other):
+        self._same_order(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out[e] - c if e in out else -c
@@ -296,6 +302,7 @@ class CycloPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CycloPoly(self.order, {e: c * other for e, c in self.coeffs.items()})
+        self._same_order(other)
         out = {}
         m = self.order
         for e1, c1 in self.coeffs.items():
@@ -338,8 +345,6 @@ class CycloPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloPoly.rational(self.order, other)
-        if self.order != other.order:
-            raise ValueError("mixed cyclotomic orders")
         return (self - other).is_zero()
 
     def __hash__(self):

@@ -22,8 +22,8 @@ import numpy as np
 from . import frames, hadamard, numopt, paley, search
 from .equiv import are_equivalent
 from .frames import DihedralFlavor, GramMatrix
-from .paley import ConstructionError, FiniteField
-from .search import SolutionRecord, _prime_power
+from .paley import ConstructionError, FiniteField, prime_power
+from .search import SolutionRecord
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_paley(args) -> int:
-    pp = _prime_power(args.q)
+    pp = prime_power(args.q)
     if pp is None:
         raise ValueError(f"{args.q} is not a prime power")
     if args.q % 4 != 3:

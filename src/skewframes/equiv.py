@@ -265,27 +265,16 @@ def _find_permutation(col0, col1, rows0, rows1):
 def _certificate_from(ng0: NormalizedGram, ng1: NormalizedGram, sigma: dict,
                       N: int) -> EquivalenceCertificate:
     """Compose (normalize G0) -> (permute by sigma) -> (unnormalize G1)
-    into a single monomial matrix and read off its permutation/phases."""
-    def perm_matrix(order):
-        P = np.zeros((N, N))
-        for new, old in enumerate(order):
-            P[new, old] = 1.0
-        return P
-
-    P0 = perm_matrix(ng0.order)
-    P1 = perm_matrix(ng1.order)
-    D0 = np.diag(np.asarray(ng0.phases, dtype=complex))
-    D1 = np.diag(np.asarray(ng1.phases, dtype=complex))
-    L = np.zeros((N, N))
-    for u, k in sigma.items():
-        L[k, u] = 1.0
-    Pi = P1.T @ D1.conj().T @ L @ D0 @ P0
+    into one monomial map: original index j of G0 sits at normalized
+    position u, which sigma sends to position sigma[u] of G1."""
+    position0 = {old: new for new, old in enumerate(ng0.order)}
     perm = [0] * N
     phases = [0j] * N
     for j in range(N):
-        i = int(np.argmax(np.abs(Pi[:, j])))
-        perm[j] = i
-        phases[i] = complex(Pi[i, j])
+        u = position0[j]
+        s = sigma[u]
+        perm[j] = ng1.order[s]
+        phases[perm[j]] = complex(ng0.phases[u] * np.conj(ng1.phases[s]))
     return EquivalenceCertificate(tuple(perm), tuple(phases))
 
 

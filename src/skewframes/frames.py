@@ -11,12 +11,13 @@ Representations:
   this package produces from sign matrices, sqrt(N-1) * (G - I) has
   entries in {0, +-1, +-i}; when known, that exact integer view is kept
   alongside the floats in exact_scaled.
-- Dihedral orbits come in two flavors.  "strict" orbits apply the
-  diagonal modulation by the n-th roots of unity and the index-reversal
-  permutation fixing position 0.  "projective" orbits modulate by the
-  odd powers of the 2n-th root and flip through the full anti-diagonal;
-  the two generators then satisfy the dihedral relations only up to
-  scalar phases.
+- A dihedral flavor is its set of n roots, listed by flavor_roots:
+  the n-th roots of unity ("strict", a genuine representation) or the
+  odd powers of the 2n-th root ("projective", genuinely projective).
+  The rotation M is the diagonal of those roots, and the reflection T
+  permutes coordinates as complex conjugation permutes the roots.  In
+  the projective flavor M and T satisfy the dihedral relations only up
+  to scalar phases.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import is_circulant, is_negacirculant, root_power
+from .algebra import RootIndex, is_circulant, is_negacirculant
 
 
 class DihedralFlavor(enum.Enum):
@@ -163,35 +164,31 @@ def frame_potential(config: Configuration, p: float) -> float:
     return float(np.sum(A ** p))
 
 
-def _strict_generators(n: int):
-    M = np.diag([root_power(n, k) for k in range(n)])
-    T = np.zeros((n, n), dtype=complex)
-    T[0, 0] = 1.0
-    for i in range(1, n):
-        T[i, n - i] = 1.0
-    return M, T
-
-
-def _projective_generators(n: int):
-    M = np.diag([root_power(2 * n, 2 * k + 1) for k in range(n)])
-    T = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        T[i, n - 1 - i] = 1.0
-    return M, T
-
-
-def _generators(n: int, flavor: DihedralFlavor):
-    """The flavor's generator pair (M, T): M diagonal, T a permutation."""
+def flavor_roots(n: int, flavor: DihedralFlavor) -> tuple:
+    """The flavor's n roots in the order of M's diagonal: RootIndex(n, k)
+    (strict) or RootIndex(2n, 2k+1) (projective) for k = 0..n-1."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if flavor is DihedralFlavor.STRICT:
-        return _strict_generators(n)
+        return tuple(RootIndex(n, k) for k in range(n))
     if flavor is DihedralFlavor.PROJECTIVE:
-        return _projective_generators(n)
+        return tuple(RootIndex(2 * n, 2 * k + 1) for k in range(n))
     raise ValueError("unknown flavor")
+
+
+def _orbit_kernel(n: int, flavor: DihedralFlavor):
+    """(R, pi): R[d, j] = r_j^d for the flavor's roots r, and pi[k] the
+    index of the conjugate of root k, so (T w)[k] = w[pi[k]]."""
+    roots = flavor_roots(n, flavor)
+    position = {z: k for k, z in enumerate(roots)}
+    pi = np.array([position[z.conjugate()] for z in roots])
+    r = np.array([z.value for z in roots])
+    return r[None, :] ** np.arange(n)[:, None], pi
 
 
 def dihedral_orbit(v, flavor: DihedralFlavor) -> Configuration:
     """Columns [v, Mv, ..., M^(n-1)v, Tv, MTv, ..., M^(n-1)Tv] for the
-    flavor's generator pair (M, T); v must be a unit vector."""
+    flavor's rotation M and reflection T; v must be a unit vector."""
     w = np.asarray(v, dtype=complex)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("expected a one-dimensional vector")
@@ -200,18 +197,8 @@ def dihedral_orbit(v, flavor: DihedralFlavor) -> Configuration:
         raise ValueError("zero vector has no orbit")
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("orbit seed must be a unit vector")
-    n = w.size
-    M, T = _generators(n, flavor)
-    cols = []
-    x = w
-    for _ in range(n):
-        cols.append(x)
-        x = M @ x
-    x = T @ w
-    for _ in range(n):
-        cols.append(x)
-        x = M @ x
-    return Configuration(np.column_stack(cols))
+    R, pi = _orbit_kernel(w.size, flavor)
+    return Configuration(np.concatenate([R * w, R * w[pi]]).T)
 
 
 def is_regular(config: Configuration, tol: float = 1e-8) -> bool:

@@ -24,7 +24,7 @@ self-conjugate roots must use u = 1/sqrt(2), v = +-1/sqrt(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -39,7 +39,7 @@ from .algebra import (
     nega_cyclotomic_idempotent,
     nega_cyclotomic_idempotent_exact,
 )
-from .frames import DihedralFlavor, GramMatrix
+from .frames import DihedralFlavor, GramMatrix, flavor_roots
 
 
 class InvalidPartitionError(ValueError):
@@ -51,16 +51,13 @@ class InvalidPairsError(ValueError):
 
 
 def full_root_set(n: int, flavor: DihedralFlavor) -> frozenset:
-    """The n roots indexing the projector system: all n-th roots of
-    unity (strict) or the 2n-th roots that are not n-th roots
-    (projective)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if flavor is DihedralFlavor.STRICT:
-        return frozenset(RootIndex(n, k) for k in range(n))
-    if flavor is DihedralFlavor.PROJECTIVE:
-        return frozenset(RootIndex(2 * n, 2 * k + 1) for k in range(n))
-    raise ValueError("unknown flavor")
+    """The n roots indexing the projector system: frames.flavor_roots
+    as a set."""
+    return frozenset(flavor_roots(n, flavor))
+
+
+def _by_index(roots):
+    return sorted(roots, key=lambda w: (w.order, w.index))
 
 
 def _conjugation_closed(s) -> bool:
@@ -99,10 +96,18 @@ def is_regular_gram(partition: SpectralPartition) -> bool:
     return len(partition.mixed) == partition.n
 
 
-def _projector(n: int, zeta: RootIndex, flavor: DihedralFlavor) -> np.ndarray:
+def _projector(n: int, zeta: RootIndex, flavor: DihedralFlavor,
+               order: Optional[int] = None):
+    """The rank-one projector K_zeta of the flavor's algebra (circulant
+    for strict, negacirculant for projective): a float array, or exact
+    CycloPoly entries over Q(zeta_order) when order is given."""
     if flavor is DihedralFlavor.STRICT:
-        return cyclotomic_idempotent(n, zeta)
-    return nega_cyclotomic_idempotent(n, zeta)
+        if order is None:
+            return cyclotomic_idempotent(n, zeta)
+        return cyclotomic_idempotent_exact(n, zeta, ring_order=order)
+    if order is None:
+        return nega_cyclotomic_idempotent(n, zeta)
+    return nega_cyclotomic_idempotent_exact(n, zeta, ring_order=order)
 
 
 @dataclass(frozen=True)
@@ -174,25 +179,18 @@ def tight_idempotent(partition: SpectralPartition,
     n, flavor = partition.n, partition.flavor
     X = np.zeros((2 * n, 2 * n), dtype=complex)
     for z in partition.mixed:
-        K = _projector(n, z, flavor)
         u, v = pairs.pairs[z]
-        X[:n, :n] += (u * np.conj(u)) * K
-        X[:n, n:] += (u * np.conj(v)) * K
-        X[n:, :n] += (v * np.conj(u)) * K
-        X[n:, n:] += (v * np.conj(v)) * K
+        C = [[u * np.conj(u), u * np.conj(v)], [v * np.conj(u), v * np.conj(v)]]
+        X += np.kron(C, _projector(n, z, flavor))
     for z in partition.full:
-        K = _projector(n, z, flavor)
-        X[:n, :n] += K
-        X[n:, n:] += K
+        X += np.kron(np.eye(2), _projector(n, z, flavor))
     return X
 
 
-def build_tight_gram(partition: SpectralPartition, pairs: UnitPairAssignment,
-                     flavor: Optional[DihedralFlavor] = None) -> GramMatrix:
+def build_tight_gram(partition: SpectralPartition,
+                     pairs: UnitPairAssignment) -> GramMatrix:
     """Gram matrix G = 2 X; unit diagonal because the projector diagonal
     is constant 1/2 for any valid partition and pairs."""
-    if flavor is not None and flavor is not partition.flavor:
-        raise InvalidPartitionError("flavor disagrees with the partition")
     return GramMatrix(2.0 * tight_idempotent(partition, pairs))
 
 
@@ -217,8 +215,7 @@ def upper_block_real_part(partition: SpectralPartition) -> np.ndarray:
 def exact_ring_order(partition: SpectralPartition) -> int:
     """Smallest cyclotomic order containing the projector entries, i,
     and 1/sqrt(2) (needed at self-conjugate roots)."""
-    base = partition.n if partition.flavor is DihedralFlavor.STRICT else 2 * partition.n
-    return lcm(lcm(base, 4), 8)
+    return lcm(flavor_roots(partition.n, partition.flavor)[0].order, 8)
 
 
 def exact_pair_from_rationals(order: int, t: Fraction, s: Fraction,
@@ -248,7 +245,7 @@ def random_exact_pairs(partition: SpectralPartition, rng):
     order = exact_ring_order(partition)
     pairs = {}
     r = _exact_inv_sqrt2(order)
-    for z in sorted(partition.mixed, key=lambda w: (w.order, w.index)):
+    for z in _by_index(partition.mixed):
         if z in pairs:
             continue
         if z.is_real():
@@ -268,34 +265,22 @@ def tight_idempotent_exact(partition: SpectralPartition, exact_pairs):
     (as produced by random_exact_pairs)."""
     n, flavor = partition.n, partition.flavor
     order = exact_ring_order(partition)
-    N = 2 * n
-    zero = CycloPoly(order)
-    X = [[zero for _ in range(N)] for _ in range(N)]
-
-    def add_block(bi, bj, coef, K):
-        for i in range(n):
-            Ki = K[i]
-            Xi = X[bi + i]
-            for j in range(n):
-                Xi[bj + j] = Xi[bj + j] + coef * Ki[j]
-
-    for z in sorted(partition.mixed, key=lambda w: (w.order, w.index)):
-        if flavor is DihedralFlavor.STRICT:
-            K = cyclotomic_idempotent_exact(n, z, ring_order=order)
-        else:
-            K = nega_cyclotomic_idempotent_exact(n, z, ring_order=order)
+    zero, one = CycloPoly(order), CycloPoly.rational(order, 1)
+    blocks = []  # (root, 2 x 2 coefficient block), mixed roots then full
+    for z in _by_index(partition.mixed):
         u, v = exact_pairs[z]
         uc, vc = u.conjugate(), v.conjugate()
-        add_block(0, 0, u * uc, K)
-        add_block(0, n, u * vc, K)
-        add_block(n, 0, v * uc, K)
-        add_block(n, n, v * vc, K)
-    one = CycloPoly.rational(order, 1)
-    for z in sorted(partition.full, key=lambda w: (w.order, w.index)):
-        if flavor is DihedralFlavor.STRICT:
-            K = cyclotomic_idempotent_exact(n, z, ring_order=order)
-        else:
-            K = nega_cyclotomic_idempotent_exact(n, z, ring_order=order)
-        add_block(0, 0, one, K)
-        add_block(n, n, one, K)
+        blocks.append((z, ((u * uc, u * vc), (v * uc, v * vc))))
+    blocks += [(z, ((one, zero), (zero, one))) for z in _by_index(partition.full)]
+    X = [[zero] * (2 * n) for _ in range(2 * n)]
+    for z, C in blocks:
+        K = _projector(n, z, flavor, order)
+        for bi, row in enumerate(C):
+            for bj, coef in enumerate(row):
+                if not coef.coeffs:
+                    continue
+                for i in range(n):
+                    Xi, Ki = X[bi * n + i], K[i]
+                    for j in range(n):
+                        Xi[bj * n + j] = Xi[bj * n + j] + coef * Ki[j]
     return X

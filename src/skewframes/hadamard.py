@@ -238,7 +238,18 @@ def exactify(H_approx):
 
 
 # ---------------------------------------------------------------------------
-# hex codec for +-1 vectors
+# bit codec for +-1 vectors: MSB first, bit 1 meaning +1
+
+
+def _pack(v) -> int:
+    x = 0
+    for s in v:
+        x = (x << 1) | (1 if s == 1 else 0)
+    return x
+
+
+def _unpack(x: int, n: int) -> tuple:
+    return tuple(1 if (x >> (n - 1 - k)) & 1 else -1 for k in range(n))
 
 
 def hex_decode(s: str, n: int):
@@ -253,14 +264,10 @@ def hex_decode(s: str, n: int):
     x = int(s, 16)
     if x >= 1 << n:
         raise ValueError("encoded value overflows the stated length")
-    return tuple(1 if (x >> (n - 1 - k)) & 1 else -1 for k in range(n))
+    return _unpack(x, n)
 
 
 def hex_encode(v) -> str:
     """Inverse of hex_decode; emits upper-case, zero-padded digits."""
     t = _sign_vector(v)
-    n = len(t)
-    x = 0
-    for s in t:
-        x = (x << 1) | (1 if s == 1 else 0)
-    return format(x, "0{}X".format((n + 3) // 4))
+    return format(_pack(t), "0{}X".format((len(t) + 3) // 4))

@@ -9,8 +9,8 @@ meets the Welch bound.  Optimization runs over 2n real variables (real
 and imaginary parts of v): restarted L-BFGS on a closed form of the
 orbit potential with its exact gradient, then a few Newton steps.
 
-The closed form: with (M, T) the flavor's generators, r the diagonal
-of M, pi the index map of T, R[d, j] = r_j^d (d = 0..n-1),
+The closed form: with r the flavor's roots (the diagonal of M), pi the
+index map of T (root k to its conjugate), R[d, j] = r_j^d (d = 0..n-1),
 a = R |w|^2 and b = R (conj(w) * w[pi]), every entry of the orbit Gram
 matrix of w is, up to sign and conjugation, a_d or b_d with
 d = l - k mod n, and each of the 2n values fills 2n entries.  So the
@@ -32,7 +32,7 @@ import numpy as np
 
 from .frames import (
     DihedralFlavor,
-    _generators,
+    _orbit_kernel,
     coherence,
     configuration_from_gram,
     dihedral_orbit,
@@ -99,14 +99,6 @@ class MinimizeResult:
     value: float
     converged: bool
     diagnostics: List[RestartDiagnostic] = field(default_factory=list)
-
-
-def _orbit_kernel(n: int, flavor: DihedralFlavor):
-    """(R, pi) of the closed-form potential: R[d, j] = r_j^d for the
-    diagonal r of the flavor's M, and pi with (T w)[i] = w[pi[i]]."""
-    M, T = _generators(n, flavor)
-    R = np.diag(M)[None, :] ** np.arange(n)[:, None]
-    return R, np.argmax(np.abs(T), axis=1)
 
 
 def _potential(x, R, pi, p):

@@ -35,15 +35,21 @@ class ConstructionError(RuntimeError):
     """An algebraic construction failed its own verification."""
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def prime_power(m: int):
+    """(p, k) with m == p**k for a prime p, or None when m is not a
+    prime power."""
+    if m < 2:
+        return None
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            return (p, k) if m == 1 else None
+        p += 1
+    return (m, 1)
 
 
 def _poly_trim(c):
@@ -106,7 +112,7 @@ class FiniteField:
     modulus: tuple = None
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if prime_power(self.p) != (self.p, 1):
             raise ValueError("characteristic must be prime")
         if self.k < 1:
             raise ValueError("extension degree must be positive")

@@ -52,23 +52,14 @@ from .algebra import circulant
 from .equiv import (EquivalenceCertificate, _verify_certificate, are_equivalent,
                     equivalence_fingerprint)
 from .frames import GramMatrix
-from .hadamard import BlockSkewHadamard, assemble, block_etf_gram, hex_decode, hex_encode
-from .paley import FiniteField, conj_double_paley_gram, double_paley_gram, paley_gram
+from .hadamard import (BlockSkewHadamard, _pack, _sign_vector, _unpack, assemble,
+                       block_etf_gram, hex_decode, hex_encode)
+from .paley import (FiniteField, conj_double_paley_gram, double_paley_gram, paley_gram,
+                    prime_power)
 
 
 # ---------------------------------------------------------------------------
-# bit-packed sign vectors
-
-
-def _pack(v) -> int:
-    x = 0
-    for s in v:
-        x = (x << 1) | (1 if s == 1 else 0)
-    return x
-
-
-def _unpack(x: int, n: int) -> tuple:
-    return tuple(1 if (x >> (n - 1 - k)) & 1 else -1 for k in range(n))
+# bit-packed sign vectors (codec in hadamard)
 
 
 def _shift(x: int, n: int) -> int:
@@ -102,9 +93,7 @@ def _canonical_shift(b) -> tuple:
     member of the orbit of b under sign-twisted rotations and negation
     (negation is S^n, so the whole orbit is the S-orbit of length dividing
     2n)."""
-    t = tuple(int(s) for s in b)
-    if any(s not in (1, -1) for s in t):
-        raise ValueError("expected a +-1 vector")
+    t = _sign_vector(b)
     n = len(t)
     orbit = [_pack(t)]
     for _ in range(2 * n - 1):
@@ -266,28 +255,13 @@ class SolutionRecord:
     all_types: Optional[tuple] = None
 
 
-def _prime_power(m: int):
-    if m < 2:
-        return None
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (m, 1)
-
-
 def paley_reference_grams(n: int) -> dict:
     """The Paley-type reference Grams available at this n, keyed by tag."""
     out = {}
-    pp = _prime_power(2 * n - 1)
+    pp = prime_power(2 * n - 1)
     if pp is not None and (2 * n - 1) % 4 == 3:
         out["P"] = paley_gram(FiniteField(*pp))
-    pp = _prime_power(n - 1)
+    pp = prime_power(n - 1)
     if pp is not None and n >= 3 and (n - 1) % 4 == 3:
         field = FiniteField(*pp)
         out["DP"] = double_paley_gram(field)

@@ -263,6 +263,17 @@ def test_cyclopoly_reduction_and_equality():
     assert z.conjugate() * z == CycloPoly.rational(8, 1)
 
 
+def test_cyclopoly_arithmetic_rejects_mixed_orders():
+    z8, z12 = CycloPoly.root(8, 1), CycloPoly.root(12, 1)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a == b):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            op(z8, z12)
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        cyclo_equal([[z8]], [[z12]])
+    assert z8 * 3 == CycloPoly.root(8, 1, coeff=3)
+
+
 def test_cyclopoly_matches_float_value():
     z = CycloPoly.root(12, 5, coeff=Fraction(3, 7))
     want = Fraction(3, 7) * 1.0 * cmath.exp(-2j * cmath.pi * 5 / 12)

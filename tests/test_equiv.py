@@ -15,6 +15,12 @@ from hypothesis import strategies as st
 from skewframes.equiv import (
     EquivalenceCertificate,
     NotEtfGramError,
+    _certificate_from,
+    _codes,
+    _find_permutation,
+    _row_signatures,
+    _verify_certificate,
+    _wl_colors,
     are_equivalent,
     equivalence_fingerprint,
     normalize,
@@ -95,6 +101,37 @@ def test_monomial_transforms_are_recognized(key):
         mapped = res.certificate.apply(G)
         assert np.allclose(mapped.values, H.values, atol=1e-9)
         assert np.array_equal(mapped.exact_scaled, H.exact_scaled)
+
+
+def dense_certificate(ng0, ng1, sigma, N):
+    """Oracle: the monomial matrix P1^T D1* L D0 P0 built densely, read
+    back column by column."""
+    P0, P1, L = np.zeros((N, N)), np.zeros((N, N)), np.zeros((N, N))
+    P0[np.arange(N), ng0.order] = 1.0
+    P1[np.arange(N), ng1.order] = 1.0
+    for u, k in sigma.items():
+        L[k, u] = 1.0
+    D0, D1 = np.diag(ng0.phases), np.diag(ng1.phases)
+    Pi = P1.T @ D1.conj().T @ L @ D0 @ P0
+    perm = tuple(int(np.argmax(np.abs(Pi[:, j]))) for j in range(N))
+    phases = [0j] * N
+    for j, i in enumerate(perm):
+        phases[i] = complex(Pi[i, j])
+    return perm, tuple(phases)
+
+
+@pytest.mark.parametrize("anchor", [3, 7])
+def test_certificate_composition_matches_the_dense_product(anchor):
+    G = row_gram(ROW_BY_KEY[(8, "F7", "ED")])
+    N = G.size
+    H = random_certificate(np.random.default_rng(anchor), N).apply(G)
+    ng0, ng1 = normalize(G, 0), normalize(H, anchor)
+    col0, col1 = (_wl_colors(_codes(ng.exact))[0] for ng in (ng0, ng1))
+    sigma = _find_permutation(col0, col1, _row_signatures(col0), _row_signatures(col1))
+    assert sigma is not None
+    cert = _certificate_from(ng0, ng1, sigma, N)
+    assert (cert.permutation, cert.phases) == dense_certificate(ng0, ng1, sigma, N)
+    assert _verify_certificate(cert, G, H)
 
 
 @settings(deadline=None, max_examples=25)

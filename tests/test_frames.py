@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewframes.algebra import RootIndex
+
 from skewframes.frames import (
     Configuration,
     DihedralFlavor,
@@ -20,6 +22,7 @@ from skewframes.frames import (
     coherence,
     configuration_from_gram,
     dihedral_orbit,
+    flavor_roots,
     frame_potential,
     gram,
     is_etf,
@@ -128,6 +131,45 @@ def test_orbit_size_and_unit_norms():
         c = dihedral_orbit(random_unit(4), flavor)
         assert c.count == 8 and c.dimension == 4
         assert np.allclose(np.linalg.norm(c.vectors, axis=0), 1.0)
+
+
+def dense_generators(n, flavor):
+    """Reference (M, T) written out from the paper: M the diagonal of
+    the n-th roots of unity with the reflection fixing position 0
+    (strict), or of the odd powers of the 2n-th root with the full
+    anti-diagonal flip (projective)."""
+    T = np.zeros((n, n))
+    if flavor is DihedralFlavor.STRICT:
+        r = np.exp(-2j * np.pi * np.arange(n) / n)
+        T[np.arange(n), (-np.arange(n)) % n] = 1.0
+    else:
+        r = np.exp(-2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
+        T[np.arange(n), n - 1 - np.arange(n)] = 1.0
+    return np.diag(r), T
+
+
+@pytest.mark.parametrize("flavor", list(DihedralFlavor))
+def test_orbit_matches_dense_generator_products(flavor):
+    for n in range(1, 9):
+        M, T = dense_generators(n, flavor)
+        v = random_unit(n, seed=n)
+        cols = []
+        for x in (v, T @ v):
+            for _ in range(n):
+                cols.append(x)
+                x = M @ x
+        assert np.allclose(dihedral_orbit(v, flavor).vectors, np.column_stack(cols),
+                           rtol=0.0, atol=1e-14)
+
+
+def test_flavor_roots_and_their_rejections():
+    assert flavor_roots(3, DihedralFlavor.STRICT) == tuple(RootIndex(3, k) for k in range(3))
+    assert flavor_roots(3, DihedralFlavor.PROJECTIVE) == (
+        RootIndex(6, 1), RootIndex(6, 3), RootIndex(6, 5))
+    with pytest.raises(ValueError):
+        flavor_roots(0, DihedralFlavor.STRICT)
+    with pytest.raises(ValueError):
+        flavor_roots(3, "strict")
 
 
 def test_orbit_rejects_bad_seeds():

@@ -221,14 +221,6 @@ def test_built_gram_carries_the_flavor_block_structure(n, flavor):
     assert report.ambiguous or report.flavor is flavor
 
 
-def test_build_tight_gram_rejects_contradictory_flavor():
-    part = all_mixed(3, STRICT)
-    pairs = random_pairs(part, np.random.default_rng(0))
-    build_tight_gram(part, pairs, flavor=STRICT)
-    with pytest.raises(InvalidPartitionError):
-        build_tight_gram(part, pairs, flavor=PROJECTIVE)
-
-
 def test_partition_with_full_roots_is_still_a_projection():
     roots = sorted(full_root_set(5, PROJECTIVE), key=lambda z: z.index)
     # indices 1, 3, 5, 7, 9 of order 10; conj pairs (1, 9) and (3, 7);
@@ -295,6 +287,7 @@ def test_exact_ring_order_contains_flavor_roots_i_and_sqrt2():
     assert exact_ring_order(all_mixed(3, STRICT)) % 8 == 0
     assert exact_ring_order(all_mixed(3, PROJECTIVE)) % 6 == 0
     assert exact_ring_order(all_mixed(4, PROJECTIVE)) == 8
+    assert exact_ring_order(all_mixed(8, PROJECTIVE)) == 16  # roots of order 16
 
 
 def test_exact_pair_from_rationals_is_exactly_unit():

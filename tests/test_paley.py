@@ -21,6 +21,7 @@ from skewframes.paley import (
     doubled_paley_hadamard,
     paley_gram,
     paley_hadamard,
+    prime_power,
     projective_line,
     quadratic_character,
 )
@@ -54,9 +55,17 @@ def test_gf27_reduction_oracle():
     assert f.mul((0, 1, 0), (0, 0, 1)) == (2, 0, 1)
 
 
+def test_prime_power():
+    want = {0: None, 1: None, 2: (2, 1), 7: (7, 1), 8: (2, 3), 12: None,
+            27: (3, 3), 45: None, 49: (7, 2), 97: (97, 1)}
+    assert {m: prime_power(m) for m in want} == want
+
+
 def test_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         FiniteField(4)  # not prime
+    with pytest.raises(ValueError):
+        FiniteField(1)
     with pytest.raises(ValueError):
         FiniteField(3, 0)
     with pytest.raises(ValueError):
