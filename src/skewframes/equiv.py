@@ -1,5 +1,5 @@
-"""Switching/permutation equivalence of ETF Gram matrices, decided in
-exact integer arithmetic.
+"""Switching/permutation equivalence of ETF Gram matrices, decided by
+canonical forms in exact integer arithmetic.
 
 Two Gram matrices are equivalent when some monomial matrix Pi (a
 permutation with unimodular column scalings) satisfies
@@ -7,26 +7,56 @@ G1 = Pi G0 Pi*.  All Gram matrices handled here have an exact view
 K = sqrt(N-1) (G - I) with entries in {0, +-1, +-i}, so the whole
 question is combinatorial:
 
-- normalize(G, anchor) moves the anchor vertex to index 0 and rescales
-  so the entire first row and column of K become +1.  Phases are then
-  completely pinned: any residual equivalence between two normalized
-  grams that keeps index 0 fixed is a pure permutation of {1..N-1}.
-- are_equivalent matches G0 normalized at anchor 0 against G1
-  normalized at every anchor (transitive grams need only anchor 0),
-  trying each candidate image for the vertex labelled 1 and running a
-  forward-checked backtracking search for the residual permutation.
+- Normalization.  normalize(G, anchor) moves the anchor vertex to
+  index 0 and rescales so the entire first row and column of K become
+  +1.  Phases are then completely pinned: the normalized view is unique
+  up to a permutation of {1..N-1}, and any residual equivalence between
+  two normalized grams that keeps index 0 fixed is such a permutation.
+- Refinement.  The normalized view, coded 0, +1, -1, +i, -i ->
+  0..4, is a complete digraph with 5 edge colours; K is Hermitian, so
+  its rows alone determine it.  _refine is 1-dimensional colour
+  refinement on it: a vertex's new colour is the rank of its signature
+  (colour, sum over w of W[code(v, w), colour(w)]) among the sorted
+  distinct signatures, with fixed 64-bit weights W and wrapping int64
+  sums.  Ranks do not depend on vertex labels, and a weight collision
+  can only leave a cell unsplit, so refinement commutes with every
+  relabeling.
+- Canonical labeling (McKay-Piperno, "Practical graph isomorphism, II",
+  J. Symbolic Comput. 60, 2014).  canonical_form individualizes vertex 0
+  and refines, then repeatedly individualizes each vertex of the first
+  smallest non-singleton cell and refines again, until every cell is a
+  singleton.  A leaf's key is the tuple of refinement traces along its
+  path followed by the bytes of the codes relabeled by the leaf's
+  colours; the canonical form is the leaf of maximal key.  Two leaves
+  of equal key differ by an automorphism, and a child in the orbit of
+  an already searched child, under the automorphisms found so far that
+  fix the path pointwise, is skipped: its subtree holds the same keys.
+  A node whose traces already fall below the best leaf's is skipped as
+  well, unless it can still reach the first leaf.
+- Soundness.  Each step above is label-invariant, so the maximal key is
+  an invariant of the normalized view up to permutations fixing 0.  The
+  key holds the whole relabeled matrix, so equal keys mean equal
+  relabeled views, and composing the two labelings gives an
+  equivalence (are_equivalent verifies it exactly before returning it).
+  Unequal keys at anchor 0 prove transitive grams inequivalent: any
+  equivalence composed with an automorphism can be made to send anchor
+  0 to anchor 0, and would then make the keys equal.  The proof is
+  exhaustive over the search tree, up to verified automorphisms.
 - Certificates are returned as (permutation, phases) and are verified
   against both the float and the exact data before being returned.
 
 equivalence_fingerprint (the histogram of stable Weisfeiler-Leman pair
-colors) is equal for equivalent vertex-transitive grams, so unequal
-fingerprints prove inequivalence without a search.
+colors) is equal for equivalent vertex-transitive grams.  It never
+separates the solutions of one n, and canonical keys decide everything
+it could, but search.classify still reports it per orbit root, because
+the traced benchmark run (bench/tracer.py) records that span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -139,9 +169,8 @@ def _wl_colors(codes: np.ndarray):
     sketch) signature, so two matrices related by a simultaneous row and
     column permutation get identical color matrices up to that
     permutation, and in particular identical histograms; this is what
-    makes the histogram a sound pruning invariant and the colors sound
-    candidate filters.  Sketch collisions can only make the refinement
-    coarser, never unsound.
+    makes the histogram a sound invariant.  Sketch collisions can only
+    make the refinement coarser, never unsound.
     """
     C = codes.astype(np.int64)
     N = C.shape[0]
@@ -161,108 +190,161 @@ def _wl_colors(codes: np.ndarray):
     return C, hist
 
 
-def _row_signatures(col: np.ndarray):
-    """Per-vertex invariant under pair-color-preserving permutations:
-    the diagonal color plus the sorted row and column color multisets."""
-    N = col.shape[0]
-    return [
-        (int(col[i, i]), tuple(sorted(col[i].tolist())),
-         tuple(sorted(col[:, i].tolist())))
-        for i in range(N)
-    ]
+# ---------------------------------------------------------------------------
+# canonical forms by individualization-refinement
 
 
-def _find_permutation(col0, col1, rows0, rows1):
-    """Permutation sigma of {0..N-1} with sigma(0) = 0 and
-    col1[sigma u, sigma w] == col0[u, w] for all u, w; None if none
-    exists.  Equal stable colors imply equal value codes, so any sigma
-    found here carries the normalized exact view onto the other.
+@lru_cache(maxsize=None)
+def _weights(N: int) -> np.ndarray:
+    """W[code, colour] for the 5 codes and N colours: splitmix64 of
+    5 * colour + code + 1, so the entries for a colour do not depend
+    on N."""
+    z = np.arange(1, 5 * N + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    W = np.ascontiguousarray(z.view(np.int64).reshape(N, 5).T)
+    W.flags.writeable = False  # shared by every caller through the cache
+    return W
 
-    Forward-checked backtracking, always extending the vertex with the
-    fewest remaining candidates.  Candidate sets are bitsets (ints, bit
-    t = target vertex t) so the inner loop is pure integer arithmetic:
-    the candidates of w after mapping u -> k are the old candidates
-    intersected with {t : col1[k, t] == col0[u, w]} and
-    {t : col1[t, k] == col0[w, u]}, both precomputed per (k, color)."""
-    N = col0.shape[0]
-    C0 = col0.tolist()
-    C1 = col1.tolist()
-    row_mask = []  # row_mask[k][v] bits = {t : col1[k, t] == v}
-    col_mask = []  # col_mask[k][v] bits = {t : col1[t, k] == v}
-    for k in range(N):
-        rk: dict = {}
-        row_mask.append(rk)
-        for t, v in enumerate(C1[k]):
-            rk[v] = rk.get(v, 0) | (1 << t)
-    for k in range(N):
-        ck: dict = {}
-        col_mask.append(ck)
-        for t in range(N):
-            v = C1[t][k]
-            ck[v] = ck.get(v, 0) | (1 << t)
 
-    diag_mask: dict = {}
-    sig_mask: dict = {}
-    for k in range(N):
-        v = C1[k][k]
-        diag_mask[v] = diag_mask.get(v, 0) | (1 << k)
-        s = rows1[k]
-        sig_mask[s] = sig_mask.get(s, 0) | (1 << k)
+def _refine(codes: np.ndarray, colors: np.ndarray):
+    """Colour refinement of the dense colouring colors (ranks 0..k-1)
+    to its stable refinement, returned with the trace: the bytes of
+    every step's signature sums, sorted by (colour, sum).
 
-    anchor_row = row_mask[0]
-    anchor_col = col_mask[0]
-    nonzero = ((1 << N) - 1) ^ 1
-    masks = {}
-    for u in range(1, N):
-        m = (nonzero
-             & anchor_row.get(C0[0][u], 0)
-             & anchor_col.get(C0[u][0], 0)
-             & diag_mask.get(C0[u][u], 0)
-             & sig_mask.get(rows0[u], 0))
-        if m == 0:
+    Sorting by the old colour first keeps every cell in place, so the
+    result refines colors and an individualized vertex keeps its rank."""
+    N = len(colors)
+    W = _weights(N)
+    trace = []
+    count = int(colors.max()) + 1
+    while count < N:
+        S = W[codes, colors].sum(axis=1)
+        order = np.lexsort((S, colors))
+        c, s = colors[order], S[order]
+        trace.append(s.tobytes())
+        ranks = np.cumsum(np.concatenate(([0], (c[1:] != c[:-1]) | (s[1:] != s[:-1]))))
+        if ranks[-1] + 1 == count:
+            break
+        colors = np.empty(N, dtype=np.int64)
+        colors[order] = ranks
+        count = int(ranks[-1]) + 1
+    return colors, b"".join(trace)
+
+
+def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
+    """Split {v} off the front of its cell; later ranks move up by one."""
+    out = colors + (colors >= colors[v])
+    out[v] = colors[v]
+    return out
+
+
+def _orbits(labels: list, generators) -> list:
+    """Least member of each vertex's orbit once the orbits given by
+    labels (labels[v], the least member of v's orbit so far) are joined
+    along the generators."""
+    parent = list(labels)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g in generators:
+        for i, j in enumerate(g.tolist()):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(parent))]
+
+
+def _canonical_labeling(codes: np.ndarray):
+    """(key, labeling) of the maximal leaf of the search tree of the
+    codes with vertex 0 individualized; labeling[v] is the canonical
+    position of vertex v (0 for vertex 0)."""
+    N = len(codes)
+    first = best = None  # (key, labeling, path) of the first and the best leaf
+    automorphisms = []
+
+    def leaf(colors, traces, path):
+        """None, or the depth to return to: an automorphism g found here
+        fixes the path shared with the reference leaf and maps its branch
+        below onto this one, so the rest of this branch is a copy."""
+        nonlocal first, best
+        perm = np.argsort(colors)
+        key = traces + (codes[perm][:, perm].tobytes(),)
+        if first is None:
+            first = best = (key, colors, path)
             return None
-        masks[u] = m
+        for ref_key, ref_labeling, ref_path in (first, best):
+            if key == ref_key:
+                # codes[g[u], g[w]] == codes[u, w]: both leaves relabel to key
+                automorphisms.append(perm[ref_labeling])
+                shared = 0
+                while path[shared] == ref_path[shared]:
+                    shared += 1
+                return shared
+        if key > best[0]:
+            best = (key, colors, path)
+        return None
 
-    assignment = {0: 0}
+    def visit(colors, traces, path):
+        """None, or the depth to return to (see leaf)."""
+        colors, trace = _refine(codes, colors)
+        traces = traces + (trace,)
+        if int(colors.max()) == N - 1:
+            return leaf(colors, traces, path)
+        depth = len(traces)
+        if (best is not None and traces < best[0][:depth]
+                and traces != first[0][:depth]):
+            return None  # no leaf below can reach or tie the best or the first
+        sizes = np.bincount(colors)
+        cells = np.flatnonzero(sizes > 1)
+        cell = np.flatnonzero(colors == cells[np.argmin(sizes[cells])]).tolist()
+        known, orbit, searched = 0, None, []
+        for v in cell:
+            if searched and known != len(automorphisms):
+                fixing = [g for g in automorphisms[known:] if all(g[p] == p for p in path)]
+                known = len(automorphisms)
+                if fixing:
+                    orbit = _orbits(orbit or list(range(N)), fixing)
+            if orbit is not None and any(orbit[u] == orbit[v] for u in searched):
+                continue
+            back = visit(_individualize(colors, v), traces, path + [v])
+            if back is not None and back < len(path):
+                return back
+            searched.append(v)
+        return None
 
-    def extend(masks):
-        if not masks:
-            return True
-        u = min(masks, key=lambda w: masks[w].bit_count())
-        row_u = C0[u]
-        cand = masks[u]
-        while cand:
-            k_bit = cand & -cand
-            cand ^= k_bit
-            k = k_bit.bit_length() - 1
-            rmk = row_mask[k]
-            cmk = col_mask[k]
-            keep = ~k_bit
-            narrowed = {}
-            feasible = True
-            for w, mw in masks.items():
-                if w == u:
-                    continue
-                nm = (mw & keep
-                      & rmk.get(row_u[w], 0)
-                      & cmk.get(C0[w][u], 0))
-                if nm == 0:
-                    feasible = False
-                    break
-                narrowed[w] = nm
-            if feasible:
-                assignment[u] = k
-                if extend(narrowed):
-                    return True
-                del assignment[u]
-        return False
-
-    if extend(masks):
-        return assignment
-    return None
+    start = np.ones(N, dtype=np.int64)
+    start[0] = 0
+    visit(start, (), [])
+    return best[:2]
 
 
-def _certificate_from(ng0: NormalizedGram, ng1: NormalizedGram, sigma: dict,
+class CanonicalForm(NamedTuple):
+    """key: the canonical key of the normalized view; labeling[v]: the
+    canonical position of vertex v of normalized.exact; normalized: the
+    view at the anchor the form was taken at."""
+
+    key: tuple
+    labeling: np.ndarray
+    normalized: NormalizedGram
+
+
+def canonical_form(G: GramMatrix, anchor: int = 0) -> CanonicalForm:
+    """Canonical form of G normalized at the anchor.  Keys are equal
+    exactly when the two normalized views differ by a permutation
+    fixing index 0; for vertex-transitive grams the key at any anchor is
+    a complete equivalence invariant."""
+    ng = normalize(G, anchor)
+    key, labeling = _canonical_labeling(_codes(ng.exact))
+    return CanonicalForm(key, labeling, ng)
+
+
+def _certificate_from(ng0: NormalizedGram, ng1: NormalizedGram, sigma,
                       N: int) -> EquivalenceCertificate:
     """Compose (normalize G0) -> (permute by sigma) -> (unnormalize G1)
     into one monomial map: original index j of G0 sits at normalized
@@ -289,32 +371,29 @@ def _verify_certificate(cert, G0, G1) -> bool:
 
 def are_equivalent(G0: GramMatrix, G1: GramMatrix,
                    assume_transitive: bool = False) -> EquivalenceResult:
-    """Decide monomial equivalence of two exact-view Gram matrices.
+    """Decide monomial equivalence of two exact-view Gram matrices by
+    comparing the canonical key of G0 at anchor 0 with that of G1 at
+    anchor 0, or at every anchor when assume_transitive is false.
 
-    assume_transitive=True restricts the anchor scan to index 0; that is
-    sound whenever either gram has a vertex-transitive automorphism
-    group (compose any equivalence with an automorphism moving the
-    anchor), which holds for all Gram matrices built from dihedral
-    orbits or Paley matrices in this package.
+    Equal keys give sigma = labeling1^-1 o labeling0, which carries the
+    normalized view of G0 onto that of G1; it is composed into a
+    certificate and verified exactly, and a failed verification raises
+    RuntimeError.  assume_transitive=True is sound whenever either gram
+    has a vertex-transitive automorphism group (compose any equivalence
+    with an automorphism moving the anchor), which holds for all Gram
+    matrices built from dihedral orbits or Paley matrices in this
+    package.
     """
     if G0.size != G1.size:
         raise ValueError("Gram matrices must have equal size")
     N = G0.size
-    ng0 = normalize(G0, 0)
-    col0, hist0 = _wl_colors(_codes(ng0.exact))
-    rows0 = _row_signatures(col0)
-
-    anchors = [0] if assume_transitive else list(range(N))
-    for anchor in anchors:
-        ng1 = normalize(G1, anchor)
-        col1, hist1 = _wl_colors(_codes(ng1.exact))
-        if hist1 != hist0:
+    form0 = canonical_form(G0)
+    for anchor in [0] if assume_transitive else range(N):
+        form1 = canonical_form(G1, anchor)
+        if form1.key != form0.key:
             continue
-        rows1 = _row_signatures(col1)
-        sigma = _find_permutation(col0, col1, rows0, rows1)
-        if sigma is None:
-            continue
-        cert = _certificate_from(ng0, ng1, sigma, N)
+        sigma = np.argsort(form1.labeling)[form0.labeling].tolist()
+        cert = _certificate_from(form0.normalized, form1.normalized, sigma, N)
         if not _verify_certificate(cert, G0, G1):
             raise RuntimeError("internal error: certificate failed verification")
         return EquivalenceResult(True, cert)

@@ -14,9 +14,10 @@ Representations:
   affine points first in field order, the point at infinity last.
 - paley_hadamard builds the q+1 sized sign matrix whose (i, j) entry
   for i != j is the quadratic character of the symplectic form
-  a*d - b*c of the representatives (a, b) and (c, d), with +1 on the
-  diagonal; for q = 3 mod 4 this is skew Hadamard, and the result is
-  verified before being returned.
+  a*d - b*c of the representatives (a, b) and (c, d), read from the set
+  of nonzero squares built once per call, with +1 on the diagonal; for
+  q = 3 mod 4 this is skew Hadamard, and the result is verified before
+  being returned.
 """
 
 from __future__ import annotations
@@ -195,15 +196,16 @@ def paley_hadamard(field: FiniteField) -> np.ndarray:
     if q % 4 != 3:
         raise ValueError("need a prime power q with q = 3 mod 4")
     pts = projective_line(field)
+    squares = {field.mul(x, x) for x in field.elements()} - {field.zero}
     m = q + 1
     H = np.ones((m, m), dtype=np.int64)
     for i, (a, b) in enumerate(pts):
         for j, (c, d) in enumerate(pts):
             if i != j:
-                chi = quadratic_character(field, field.sub(field.mul(a, d), field.mul(b, c)))
-                if chi == 0:
+                form = field.sub(field.mul(a, d), field.mul(b, c))
+                if form == field.zero:
                     raise ConstructionError("distinct projective points gave a zero form")
-                H[i, j] = chi
+                H[i, j] = 1 if form in squares else -1
     if not is_skew_hadamard(H):
         raise ConstructionError("Paley construction failed verification")
     return H

@@ -30,11 +30,13 @@ rows (Dokovic-Kotsireas, as above): the block matrix diag(R_k, R_k) H
 diag(R_k, R_k)^T is again a solution, and after re-canonicalizing b by
 S^t the signed permutation diag(Z^t R_k, R_k) is a certificate carrying
 one gram onto the other, verified exactly before each merge.  Only the
-orbit roots (least input index) then go through the fingerprint and
-are_equivalent, so the classes stay correct where orbits are finer.
-Each class that matches a Paley-type reference is tagged: "P" for the
-Paley gram on GF(2n-1), "DP" for the doubled Paley gram on GF(n-1),
-"CDP" for its conjugate; ties are reported with the priority
+orbit roots (least input index) then get a canonical form
+(equiv.canonical_form): roots with unequal keys are inequivalent, and a
+root whose key equals a representative's joins it after are_equivalent
+returns a verified certificate, so the classes stay correct where orbits
+are finer.  Each class that matches a Paley-type reference is tagged:
+"P" for the Paley gram on GF(2n-1), "DP" for the doubled Paley gram on
+GF(n-1), "CDP" for its conjugate; ties are reported with the priority
 P > DP > CDP.
 """
 
@@ -50,12 +52,11 @@ import numpy as np
 
 from .algebra import circulant
 from .equiv import (EquivalenceCertificate, _verify_certificate, are_equivalent,
-                    equivalence_fingerprint)
+                    canonical_form, equivalence_fingerprint)
 from .frames import GramMatrix
 from .hadamard import (BlockSkewHadamard, _pack, _sign_vector, _unpack, assemble,
                        block_etf_gram, hex_decode, hex_encode)
-from .paley import (FiniteField, conj_double_paley_gram, double_paley_gram, paley_gram,
-                    prime_power)
+from .paley import FiniteField, double_paley_gram, paley_gram, prime_power
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +264,8 @@ def paley_reference_grams(n: int) -> dict:
         out["P"] = paley_gram(FiniteField(*pp))
     pp = prime_power(n - 1)
     if pp is not None and n >= 3 and (n - 1) % 4 == 3:
-        field = FiniteField(*pp)
-        out["DP"] = double_paley_gram(field)
-        out["CDP"] = conj_double_paley_gram(field)
+        out["DP"] = double_paley_gram(FiniteField(*pp))
+        out["CDP"] = out["DP"].conjugated()
     return out
 
 
@@ -282,8 +282,10 @@ def record_gram(record) -> GramMatrix:
 def paley_tags(n: int, grams) -> List[tuple]:
     """The Paley-type tags of each of the given pairwise inequivalent
     grams, in the order P, DP, CDP.  Each reference is tested against the
-    grams in order and stops at its first match: it can match at most one
-    of them."""
+    grams in order by are_equivalent and stops at its first match: it can
+    match at most one of them.  No forms are kept between calls, so
+    tagging a single gram (as discover does) costs two canonical forms
+    per reference tried."""
     tags: List[list] = [[] for _ in grams]
     for tag, ref in paley_reference_grams(n).items():
         for found, G in zip(tags, grams):
@@ -369,26 +371,29 @@ def classify(n: int, jobs: int = 1, solutions=None) -> List[SolutionRecord]:
     counting from 1.
 
     The solutions are first collapsed into symmetry orbits, each merge
-    carrying a verified certificate; only the orbit roots are compared by
-    fingerprint and are_equivalent, so orbits finer than classes are
-    still joined."""
+    carrying a verified certificate.  Each orbit root then gets one
+    canonical form: a root whose key equals a representative's joins it
+    once are_equivalent confirms the match with a verified certificate,
+    and a root with a new key starts a class with no pairwise call, since
+    unequal keys prove these vertex-transitive grams inequivalent.  So
+    orbits finer than classes are still joined."""
     solutions = list(enumerate(n, jobs=jobs) if solutions is None else solutions)
     if any(sol.n != n for sol in solutions):
         raise ValueError("solutions disagree with n")
     grams = [record_gram(sol) for sol in solutions]
-    reps: List[int] = []
-    fingerprints: List[tuple] = []
+    classes: dict = {}  # canonical key -> (first root with it, its fingerprint)
     roots = _symmetry_orbits(n, solutions, grams)
     for i in range(len(solutions)):
         if roots[i] != i:
             continue
         fp = equivalence_fingerprint(grams[i])
-        # fingerprints are invariants of these (vertex-transitive)
-        # grams, so unequal fingerprints settle inequivalence cheaply
-        if not any(f == fp and are_equivalent(grams[j], grams[i], assume_transitive=True).equivalent
-                   for j, f in zip(reps, fingerprints)):
-            reps.append(i)
-            fingerprints.append(fp)
+        j, fp_j = classes.setdefault(canonical_form(grams[i]).key, (i, fp))
+        # both are invariants, so an equal key with a different fingerprint
+        # or without an equivalence is a fault of the engine
+        if j != i and (fp_j != fp or not are_equivalent(
+                grams[j], grams[i], assume_transitive=True).equivalent):
+            raise RuntimeError("internal error: equal canonical keys without an equivalence")
+    reps = [i for i, _ in classes.values()]
     tags = paley_tags(n, [grams[i] for i in reps])
     return [SolutionRecord(n=n, a_hex=hex_encode(solutions[i].a), b_hex=hex_encode(solutions[i].b),
                            symmetry_type=t[0] if t else None, class_id=c, all_types=t)

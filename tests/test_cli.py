@@ -270,3 +270,16 @@ def test_console_script_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "skew-Hadamard: yes; ETF(4,2): yes; regular: yes\n"
+
+
+def test_import_pulls_in_neither_numpy_random_nor_scipy_optimize():
+    # both add to the start-up time every CLI call pays; only the calls
+    # that need them import them
+    env = dict(os.environ, PYTHONPATH=str(Path(skewframes.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, skewframes; "
+         "print(sorted(m for m in ('numpy.random', 'scipy.optimize') if m in sys.modules))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -12,22 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewframes import search
 from skewframes.equiv import (
     EquivalenceCertificate,
     NotEtfGramError,
     _certificate_from,
     _codes,
-    _find_permutation,
-    _row_signatures,
+    _individualize,
+    _refine,
     _verify_certificate,
-    _wl_colors,
     are_equivalent,
+    canonical_form,
     equivalence_fingerprint,
     normalize,
 )
 from skewframes.frames import GramMatrix
 from skewframes.paley import FiniteField, paley_gram
 
+from equiv_oracle import oracle_equivalent, oracle_sigma
 from reference_rows import FULL_ROWS, row_gram
 
 ROW_BY_KEY = {(r[0], r[1], r[2]): r for r in FULL_ROWS}
@@ -126,8 +128,7 @@ def test_certificate_composition_matches_the_dense_product(anchor):
     N = G.size
     H = random_certificate(np.random.default_rng(anchor), N).apply(G)
     ng0, ng1 = normalize(G, 0), normalize(H, anchor)
-    col0, col1 = (_wl_colors(_codes(ng.exact))[0] for ng in (ng0, ng1))
-    sigma = _find_permutation(col0, col1, _row_signatures(col0), _row_signatures(col1))
+    sigma = oracle_sigma(ng0, ng1)
     assert sigma is not None
     cert = _certificate_from(ng0, ng1, sigma, N)
     assert (cert.permutation, cert.phases) == dense_certificate(ng0, ng1, sigma, N)
@@ -195,3 +196,102 @@ def test_fingerprint_is_invariant_under_monomial_transforms():
     for _ in range(3):
         H = random_certificate(rng, G.size).apply(G)
         assert equivalence_fingerprint(H) == fp
+
+
+# ---------------------------------------------------------------------------
+# canonical forms: refinement, invariance, agreement with the oracle
+
+
+def test_refine_commutes_with_relabeling():
+    G = search.paley_reference_grams(12)["P"]
+    codes = _codes(normalize(G).exact)
+    N = len(codes)
+    start = np.ones(N, dtype=np.int64)
+    start[0] = 0
+    rng = np.random.default_rng(12)
+    for colors in (start, _individualize(_refine(codes, start)[0], 5)):
+        refined, trace = _refine(codes, colors)
+        assert set(refined.tolist()) == set(range(int(refined.max()) + 1))  # ranks
+        p = np.concatenate(([0], 1 + rng.permutation(N - 1)))  # new vertex i is old p[i]
+        moved, moved_trace = _refine(codes[p][:, p], colors[p])
+        assert np.array_equal(moved, refined[p])
+        assert moved_trace == trace
+        # the result refines the input and keeps an individualized vertex's rank
+        assert np.all(np.diff(colors[np.argsort(refined, kind="stable")]) >= 0)
+        assert refined[0] == 0
+
+
+def test_canonical_labeling_relabels_onto_one_matrix():
+    G = row_gram(ROW_BY_KEY[(8, "F7", "ED")])
+    H = random_certificate(np.random.default_rng(4), G.size).apply(G)
+    forms = [canonical_form(G), canonical_form(H)]
+    relabeled = []
+    for form in forms:
+        perm = np.argsort(form.labeling)
+        relabeled.append(_codes(form.normalized.exact)[perm][:, perm])
+    assert forms[0].key == forms[1].key
+    assert forms[0].key[-1] == relabeled[0].tobytes()
+    assert np.array_equal(relabeled[0], relabeled[1])
+    assert forms[0].labeling[0] == forms[1].labeling[0] == 0
+
+
+PALEY_GRAMS = [(8, "DP"), (8, "CDP"), (12, "P"), (12, "DP"), (12, "CDP")]
+_PALEY_KEYS: dict = {}
+
+
+@pytest.mark.parametrize("n,tag", PALEY_GRAMS)
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_canonical_key_is_invariant_under_monomial_transforms(n, tag, data):
+    G = search.paley_reference_grams(n)[tag]
+    if (n, tag) not in _PALEY_KEYS:
+        _PALEY_KEYS[n, tag] = canonical_form(G).key
+    N = G.size
+    perm = tuple(data.draw(st.permutations(range(N))))
+    phases = tuple(data.draw(
+        st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=N, max_size=N)))
+    H = EquivalenceCertificate(perm, phases).apply(G)
+    # Paley-type grams are vertex transitive, so any anchor gives the same key
+    assert canonical_form(H).key == _PALEY_KEYS[n, tag]
+
+
+def test_full_anchor_scan_finds_a_transform_that_moves_vertex_0():
+    G = search.paley_reference_grams(12)["DP"]
+    N = G.size
+    rng = np.random.default_rng(21)
+    perm = tuple(int(x) for x in rng.permutation(N))
+    assert perm[0] != 0
+    H = EquivalenceCertificate(perm, units(rng, N)).apply(G)
+    res = are_equivalent(G, H, assume_transitive=False)
+    assert res.equivalent
+    assert _verify_certificate(res.certificate, G, H)
+    assert not are_equivalent(G, G.conjugated(), assume_transitive=False).equivalent
+
+
+def test_unverified_certificate_is_an_internal_error(monkeypatch):
+    G = row_gram(ROW_BY_KEY[(4, "8", "2")])
+    monkeypatch.setattr("skewframes.equiv._verify_certificate", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        are_equivalent(G, G)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_canonical_keys_agree_with_the_backtracking_oracle(n):
+    # every pair of orbit roots and Paley references: equal keys exactly
+    # when the oracle finds an equivalence, and each match verifies
+    sols = search.enumerate(n)
+    grams = [search.record_gram(s) for s in sols]
+    roots = sorted(set(search._symmetry_orbits(n, sols, grams)))
+    pool = [grams[i] for i in roots] + list(search.paley_reference_grams(n).values())
+    keys = [canonical_form(G).key for G in pool]
+    matches = 0
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            equal = keys[i] == keys[j]
+            assert equal == (oracle_equivalent(pool[i], pool[j]) is not None)
+            res = are_equivalent(pool[i], pool[j], assume_transitive=True)
+            assert res.equivalent == equal
+            if equal:
+                matches += 1
+                assert _verify_certificate(res.certificate, pool[i], pool[j])
+    assert matches > 0

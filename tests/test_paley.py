@@ -153,6 +153,42 @@ def test_paley_rejects_wrong_residue():
         paley_hadamard(FiniteField(3, 2))  # q = 9 = 1 mod 4
 
 
+def character_power_paley_hadamard(field):
+    """The construction with one character power per entry, as it was
+    before the squares set."""
+    pts = projective_line(field)
+    H = np.ones((len(pts), len(pts)), dtype=np.int64)
+    for i, (a, b) in enumerate(pts):
+        for j, (c, d) in enumerate(pts):
+            if i != j:
+                H[i, j] = quadratic_character(
+                    field, field.sub(field.mul(a, d), field.mul(b, c)))
+    return H
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31, 43])
+def test_paley_hadamard_matches_the_character_power_build(q):
+    field = FiniteField(*prime_power(q))
+    assert np.array_equal(paley_hadamard(field), character_power_paley_hadamard(field))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
+def test_quadratic_character_agrees_with_the_squares(p, k):
+    field = FiniteField(p, k)
+    squares = {field.mul(x, x) for x in field.elements()}
+    for x in field.elements():
+        want = 0 if x == field.zero else 1 if x in squares else -1
+        assert quadratic_character(field, x) == want
+
+
+def test_paley_hadamard_rejects_a_zero_form(monkeypatch):
+    # a repeated projective point makes a*d - b*c vanish off the diagonal
+    pts = projective_line(GF7)
+    monkeypatch.setattr("skewframes.paley.projective_line", lambda field: pts[:-1] + pts[:1])
+    with pytest.raises(ConstructionError, match="zero form"):
+        paley_hadamard(GF7)
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices
 

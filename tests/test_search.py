@@ -21,8 +21,9 @@ import pytest
 
 from skewframes import search
 from skewframes.algebra import negacirculant
-from skewframes.equiv import _verify_certificate, are_equivalent
+from skewframes.equiv import EquivalenceResult, _verify_certificate, are_equivalent, canonical_form
 from skewframes.hadamard import hex_encode, is_skew_hadamard
+from skewframes.paley import FiniteField, conj_double_paley_gram
 from skewframes.search import (
     _CHUNK,
     SolutionRecord,
@@ -246,6 +247,14 @@ def test_paley_reference_availability():
     assert set(paley_reference_grams(18)) == set()
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_conjugate_reference_is_the_conjugate_double_paley_gram(n):
+    cdp = paley_reference_grams(n)["CDP"]
+    built = conj_double_paley_gram(FiniteField(n - 1))
+    assert np.array_equal(cdp.values, built.values)
+    assert np.array_equal(cdp.exact_scaled, built.exact_scaled)
+
+
 @pytest.mark.parametrize("n,count,types", [
     (2, 1, [("P",)]),
     (4, 1, [("P", "DP", "CDP")]),
@@ -355,8 +364,23 @@ def test_classify_compares_only_orbit_roots(monkeypatch):
     monkeypatch.setattr(search, "are_equivalent", counting)
     records = classify(16)
     assert len(records) == 3
-    # C(3, 2) between the three orbit roots, then 3 for the P reference
-    assert len(calls) <= 3 + 3
+    # the three orbit roots have distinct canonical keys, so the only
+    # calls are the P reference's, at most one per class
+    reference = paley_reference_grams(16)["P"]
+    for G0, G1 in calls:
+        if not any(np.array_equal(G.values, reference.values) for G in (G0, G1)):
+            assert canonical_form(G0).key == canonical_form(G1).key
+    assert len(calls) <= 3
+
+
+def test_classify_raises_when_equal_keys_are_not_confirmed(monkeypatch):
+    # with the identity as the only decimation, equivalent solutions reach
+    # are_equivalent as separate orbit roots with equal keys
+    monkeypatch.setattr(search, "_decimations", lambda n: [_nega_perm(n, 1)])
+    monkeypatch.setattr(search, "are_equivalent",
+                        lambda *args, **kwargs: EquivalenceResult(False, None))
+    with pytest.raises(RuntimeError):
+        classify(8)
 
 
 def test_classify_rejects_solutions_of_another_size():
