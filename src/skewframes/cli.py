@@ -49,11 +49,11 @@ def _parse_complex(tok: str) -> complex:
     raise ValueError(f"bad complex token {tok!r}")
 
 
-def format_gram(G: GramMatrix, include_exact: bool = True) -> str:
+def format_gram(G: GramMatrix) -> str:
     lines = [f"gram {G.size}"]
     for row in G.values:
         lines.append(" ".join(_format_complex(z) for z in row))
-    if include_exact and G.exact_scaled is not None:
+    if G.exact_scaled is not None:
         lines.append("exact")
         for row in G.exact_scaled:
             lines.append(" ".join(
@@ -134,8 +134,6 @@ def _cmd_paley(args) -> int:
     pp = prime_power(args.q)
     if pp is None:
         raise ValueError(f"{args.q} is not a prime power")
-    if args.q % 4 != 3:
-        raise ValueError(f"q = {args.q} is not 3 mod 4")
     field = FiniteField(*pp)
     if args.conj and not args.double:
         raise ValueError("--conj requires --double")
@@ -192,12 +190,15 @@ def _cmd_equiv(args) -> int:
     return 0
 
 
-def _cmd_minimize(args) -> int:
-    config = numopt.MinimizeConfig(
+def _minimize_config(args) -> numopt.MinimizeConfig:
+    return numopt.MinimizeConfig(
         n=args.n, p=args.p, restarts=args.restarts,
         max_iterations=args.max_iterations, seed=args.seed)
+
+
+def _cmd_minimize(args) -> int:
     flavor = DihedralFlavor.STRICT if args.strict else DihedralFlavor.PROJECTIVE
-    result = numopt.minimize_fiducial(config, flavor)
+    result = numopt.minimize_fiducial(_minimize_config(args), flavor)
     orbit = frames.dihedral_orbit(result.v, flavor)
     gap = frames.coherence(orbit) - frames.welch_bound(2 * args.n, args.n)
     print(f"value: {result.value!r}")
@@ -207,10 +208,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    config = numopt.MinimizeConfig(
-        n=args.n, p=args.p, restarts=args.restarts,
-        max_iterations=args.max_iterations, seed=args.seed)
-    outcome = numopt.discover(args.n, config)
+    outcome = numopt.discover(args.n, _minimize_config(args))
     if isinstance(outcome, numopt.DiscoveryFailure):
         print(f"failure: {outcome.stage}" +
               (f" ({outcome.detail})" if outcome.detail else ""))
@@ -268,24 +266,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="both grams are vertex-transitive; anchor once")
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("minimize", help="frame potential minimization")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--p", type=int, default=4)
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iterations", type=int, default=4000,
-                   help="L-BFGS iterations per restart")
-    p.add_argument("--seed", type=int, default=7)
+    # the options of MinimizeConfig, shared by minimize and discover
+    optimizer = argparse.ArgumentParser(add_help=False)
+    optimizer.add_argument("--n", required=True, type=int)
+    optimizer.add_argument("--p", type=int, default=4)
+    optimizer.add_argument("--restarts", type=int, default=50)
+    optimizer.add_argument("--max-iterations", type=int, default=4000,
+                           help="L-BFGS iterations per restart")
+    optimizer.add_argument("--seed", type=int, default=7)
+
+    p = sub.add_parser("minimize", parents=[optimizer], help="frame potential minimization")
     p.add_argument("--strict", action="store_true",
                    help="optimize the strict flavor instead of projective")
     p.set_defaults(func=_cmd_minimize)
 
-    p = sub.add_parser("discover", help="numerical search followed by exact rounding")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--p", type=int, default=4)
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iterations", type=int, default=4000,
-                   help="L-BFGS iterations per restart")
-    p.add_argument("--seed", type=int, default=7)
+    p = sub.add_parser("discover", parents=[optimizer],
+                       help="numerical search followed by exact rounding")
     p.set_defaults(func=_cmd_discover)
 
     return parser

@@ -45,11 +45,13 @@ question is combinatorial:
 - Certificates are returned as (permutation, phases) and are verified
   against both the float and the exact data before being returned.
 
-equivalence_fingerprint (the histogram of stable Weisfeiler-Leman pair
-colors) is equal for equivalent vertex-transitive grams.  It never
-separates the solutions of one n, and canonical keys decide everything
-it could, but search.classify still reports it per orbit root, because
-the traced benchmark run (bench/tracer.py) records that span.
+equivalence_fingerprint is the first entry of every canonical key: the
+refinement trace of the root of canonical_form's search, the anchor-0
+normalized view with vertex 0 individualized.  It is equal for
+equivalent vertex-transitive grams by the same anchor argument as the
+key, and never separates the solutions of one n; search.classify still
+computes it per orbit root only because the traced benchmark run
+(bench/tracer.py) records that span.
 """
 
 from __future__ import annotations
@@ -99,12 +101,11 @@ def _codes(K: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizedGram:
-    """Result of normalize(): gram carries the normalized floats, exact
-    the integer view with all-ones first row and column; order[new] is
-    the original index now sitting at position new, and phases holds the
-    unimodular scalings applied after that reordering."""
+    """Result of normalize(): exact is the integer view with all-ones
+    first row and column; order[new] is the original index now sitting
+    at position new, and phases holds the unimodular scalings applied
+    after that reordering."""
 
-    gram: GramMatrix
     exact: np.ndarray
     order: tuple
     phases: tuple
@@ -121,13 +122,7 @@ def normalize(G: GramMatrix, anchor: int = 0) -> NormalizedGram:
     d = np.ones(N, dtype=complex)
     d[1:] = K1[0, 1:]
     NK = (d[:, None] * K1) * d.conj()[None, :]
-    values = np.eye(N) + NK / np.sqrt(N - 1)
-    return NormalizedGram(
-        gram=GramMatrix(values, exact_scaled=NK),
-        exact=NK,
-        order=tuple(order),
-        phases=tuple(d),
-    )
+    return NormalizedGram(exact=NK, order=tuple(order), phases=tuple(d))
 
 
 @dataclass(frozen=True)
@@ -141,6 +136,8 @@ class EquivalenceCertificate:
     def apply(self, G: GramMatrix) -> GramMatrix:
         M = G.values
         N = M.shape[0]
+        if sorted(self.permutation) != list(range(N)) or len(self.phases) != N:
+            raise ValueError("certificate needs a permutation of range(N) and N phases")
         p = np.asarray(self.permutation)
         f = np.asarray(self.phases, dtype=complex)
         out = np.empty_like(M)
@@ -157,37 +154,6 @@ class EquivalenceCertificate:
 class EquivalenceResult:
     equivalent: bool
     certificate: Optional[EquivalenceCertificate] = None
-
-
-def _wl_colors(codes: np.ndarray):
-    """Canonical stable pair coloring by Weisfeiler-Leman style
-    refinement: the color of a pair (i, j) starts as its value code and
-    is repeatedly refined by a 64-bit sketch of the multiset of color
-    pairs ((i, k), (k, j)) over all middle points k.
-
-    The relabeling after every round orders colors by their (old color,
-    sketch) signature, so two matrices related by a simultaneous row and
-    column permutation get identical color matrices up to that
-    permutation, and in particular identical histograms; this is what
-    makes the histogram a sound invariant.  Sketch collisions can only
-    make the refinement coarser, never unsound.
-    """
-    C = codes.astype(np.int64)
-    N = C.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    while True:
-        ncol = int(C.max()) + 1
-        w1 = rng.integers(1, 1 << 62, size=ncol, dtype=np.int64)
-        w2 = rng.integers(1, 1 << 62, size=ncol, dtype=np.int64)
-        S = w1[C] @ w2[C]
-        sig = np.stack([C.ravel(), S.ravel()], axis=1)
-        _, inv = np.unique(sig, axis=0, return_inverse=True)
-        C = inv.reshape(N, N).astype(np.int64)
-        if int(C.max()) + 1 == ncol:
-            break
-    # canonical ids make the id-tagged histogram itself an invariant
-    hist = tuple(np.bincount(C.ravel()).tolist())
-    return C, hist
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +197,13 @@ def _refine(codes: np.ndarray, colors: np.ndarray):
         colors[order] = ranks
         count = int(ranks[-1]) + 1
     return colors, b"".join(trace)
+
+
+def _anchored(N: int) -> np.ndarray:
+    """The root colouring of the search: vertex 0 individualized."""
+    colors = np.ones(N, dtype=np.int64)
+    colors[0] = 0
+    return colors
 
 
 def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
@@ -318,9 +291,7 @@ def _canonical_labeling(codes: np.ndarray):
             searched.append(v)
         return None
 
-    start = np.ones(N, dtype=np.int64)
-    start[0] = 0
-    visit(start, (), [])
+    visit(_anchored(N), (), [])
     return best[:2]
 
 
@@ -401,10 +372,9 @@ def are_equivalent(G0: GramMatrix, G1: GramMatrix,
 
 
 def equivalence_fingerprint(G: GramMatrix) -> tuple:
-    """Histogram of the stable pair colors of the anchor-0 normalized
-    exact view.  Equivalent vertex-transitive grams always agree (an
-    equivalence can be composed with an automorphism to fix the anchor),
-    so unequal fingerprints prove transitive grams inequivalent."""
-    ng = normalize(G, 0)
-    _, hist = _wl_colors(_codes(ng.exact))
-    return (G.size, hist)
+    """(N, trace) for the refinement trace of the anchor-0 normalized
+    view with vertex 0 individualized, which is canonical_form(G).key[0].
+    Equivalent vertex-transitive grams always agree (an equivalence can
+    be composed with an automorphism to fix the anchor), so unequal
+    fingerprints prove transitive grams inequivalent."""
+    return (G.size, _refine(_codes(normalize(G).exact), _anchored(G.size))[1])

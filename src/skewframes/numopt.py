@@ -55,6 +55,7 @@ from .search import SolutionRecord, paley_tags
 
 
 _TIE_RTOL = 1e-12  # restart values this close, relatively, count as tied
+_ANGLE_RTOL = 1e-7  # relative tolerance of the ETF gate (is_etf) on each restart
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class MinimizeConfig:
     p: int = 4
     restarts: int = 50
     max_iterations: int = 4000
-    angle_rel_tol: float = 1e-7
     seed: int = 7
 
     def __post_init__(self):
@@ -78,8 +78,6 @@ class MinimizeConfig:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1:
             raise ValueError("need a positive iteration budget")
-        if not 0.0 < self.angle_rel_tol < 1e-2:
-            raise ValueError("angle_rel_tol must lie in (0, 1e-2)")
 
 
 @dataclass(frozen=True)
@@ -147,12 +145,12 @@ def minimize_fiducial(config: MinimizeConfig,
 
     Deterministic for a fixed config: restarts draw their starting
     points from one seeded generator.  A restart's value is
-    frame_potential of the orbit the ETF gate (is_etf at
-    config.angle_rel_tol) judges.  The best restart is the one with the
-    smallest value among those that pass the gate, or among all
-    restarts when none passes; the earliest restart wins ties.  Passing
-    values within a relative 1e-12 of the smallest passing value count as
-    tied, so the choice does not follow rounding noise.
+    frame_potential of the orbit the ETF gate (is_etf at _ANGLE_RTOL)
+    judges.  The best restart is the one with the smallest value among
+    those that pass the gate, or among all restarts when none passes;
+    the earliest restart wins ties.  Passing values within a relative
+    1e-12 of the smallest passing value count as tied, so the choice
+    does not follow rounding noise.
     """
     # scipy.optimize is most of the package's import time; only this needs it
     from scipy.optimize import minimize
@@ -178,7 +176,7 @@ def minimize_fiducial(config: MinimizeConfig,
         orbit = dihedral_orbit(v, flavor)
         value = frame_potential(orbit, config.p)
         gap = coherence(orbit) - wb
-        ok = is_etf(orbit, rel_tol=config.angle_rel_tol)
+        ok = is_etf(orbit, rel_tol=_ANGLE_RTOL)
         diagnostics.append(RestartDiagnostic(value, float(gap), bool(ok)))
         candidates.append((not ok, value, v))
     if not candidates:

@@ -46,7 +46,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -186,27 +186,6 @@ def enumerate(n: int, jobs: int = 1) -> List[BlockSkewHadamard]:
                for b, c in zip(bs.tolist(), _profile_codes(bs, n).tolist()) for a in table[c]]
     records.sort(key=lambda r: (hex_encode(r.a), hex_encode(r.b)))
     return records
-
-
-def brute_force_enumerate(n: int) -> List[Tuple[tuple, tuple]]:
-    """Independent small-n oracle: test every (a, b) with canonical b
-    directly against the defining matrix identities."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError("even n >= 2 only")
-    out = []
-    eye = 2 * n * np.eye(n, dtype=np.int64)
-    for a_enc in _admissible_a(n).tolist():
-        a = _unpack(a_enc, n)
-        for b_enc in range(1 << n):
-            b = _unpack(b_enc, n)
-            if canonicalize_b(b) != b:
-                continue
-            H = assemble(a, b)
-            PP = H[:n, :n] @ H[:n, :n].T + H[:n, n:] @ H[:n, n:].T
-            if np.array_equal(PP, eye):
-                out.append((a, b))
-    out.sort(key=lambda p: (hex_encode(p[0]), hex_encode(p[1])))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +360,17 @@ def classify(n: int, jobs: int = 1, solutions=None) -> List[SolutionRecord]:
     if any(sol.n != n for sol in solutions):
         raise ValueError("solutions disagree with n")
     grams = [record_gram(sol) for sol in solutions]
-    classes: dict = {}  # canonical key -> (first root with it, its fingerprint)
+    # canonical key -> (first root with it, its fingerprint); the fingerprint
+    # is key[0] and only feeds the traced benchmark span
+    classes: dict = {}
     roots = _symmetry_orbits(n, solutions, grams)
     for i in range(len(solutions)):
         if roots[i] != i:
             continue
         fp = equivalence_fingerprint(grams[i])
         j, fp_j = classes.setdefault(canonical_form(grams[i]).key, (i, fp))
-        # both are invariants, so an equal key with a different fingerprint
-        # or without an equivalence is a fault of the engine
+        # equal keys imply equal fingerprints and an equivalence, so this
+        # check can only fail on a fault of the engine
         if j != i and (fp_j != fp or not are_equivalent(
                 grams[j], grams[i], assume_transitive=True).equivalent):
             raise RuntimeError("internal error: equal canonical keys without an equivalence")

@@ -2,17 +2,48 @@
 canonical forms, kept as an independent oracle for tests.
 
 oracle_equivalent(G0, G1) normalizes both grams at anchor 0, colours
-the pairs by stable Weisfeiler-Leman refinement and searches for a
-permutation fixing index 0 that carries one pair colouring onto the
-other, extending the vertex with the fewest candidates first.  It
-shares normalize, _wl_colors and the certificate code with the engine,
-but not the canonical labeling.
+the pairs by stable 2-dimensional Weisfeiler-Leman refinement
+(_wl_colors, defined here) and searches for a permutation fixing index
+0 that carries one pair colouring onto the other, extending the vertex
+with the fewest candidates first.  It shares only normalize and the
+certificate code with the engine: neither its refinement nor its search
+is the engine's colour refinement or canonical labeling.
 """
 
 import numpy as np
 
-from skewframes.equiv import (_certificate_from, _codes, _verify_certificate, _wl_colors,
-                              normalize)
+from skewframes.equiv import _certificate_from, _codes, _verify_certificate, normalize
+
+
+def _wl_colors(codes: np.ndarray):
+    """Canonical stable pair coloring by Weisfeiler-Leman style
+    refinement: the color of a pair (i, j) starts as its value code and
+    is repeatedly refined by a 64-bit sketch of the multiset of color
+    pairs ((i, k), (k, j)) over all middle points k.
+
+    The relabeling after every round orders colors by their (old color,
+    sketch) signature, so two matrices related by a simultaneous row and
+    column permutation get identical color matrices up to that
+    permutation, and in particular identical histograms; this is what
+    makes the histogram a sound invariant.  Sketch collisions can only
+    make the refinement coarser, never unsound.
+    """
+    C = codes.astype(np.int64)
+    N = C.shape[0]
+    rng = np.random.default_rng(0x5EED)
+    while True:
+        ncol = int(C.max()) + 1
+        w1 = rng.integers(1, 1 << 62, size=ncol, dtype=np.int64)
+        w2 = rng.integers(1, 1 << 62, size=ncol, dtype=np.int64)
+        S = w1[C] @ w2[C]
+        sig = np.stack([C.ravel(), S.ravel()], axis=1)
+        _, inv = np.unique(sig, axis=0, return_inverse=True)
+        C = inv.reshape(N, N).astype(np.int64)
+        if int(C.max()) + 1 == ncol:
+            break
+    # canonical ids make the id-tagged histogram itself an invariant
+    hist = tuple(np.bincount(C.ravel()).tolist())
+    return C, hist
 
 
 def _row_signatures(col: np.ndarray):

@@ -42,8 +42,8 @@ def test_gram_format_roundtrip_with_exact_section():
 
 def test_gram_format_roundtrip_without_exact_section():
     G = paley_gram(FiniteField(3))
-    text = format_gram(G, include_exact=False)
-    assert "exact" not in text
+    text = format_gram(G).split("exact\n")[0]
+    assert text.count("\n") == 1 + G.size
     back = parse_gram(text)
     assert back.exact_scaled is None
     assert np.allclose(back.values, G.values, atol=1e-15)
@@ -283,3 +283,16 @@ def test_import_pulls_in_neither_numpy_random_nor_scipy_optimize():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_classify_pulls_in_no_numpy_random():
+    # the equivalence engine and its fingerprint use fixed weights, not a
+    # seeded generator, so classification pays no numpy.random import
+    env = dict(os.environ, PYTHONPATH=str(Path(skewframes.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from skewframes import search; search.classify(8); "
+         "print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -16,6 +16,7 @@ from skewframes import search
 from skewframes.equiv import (
     EquivalenceCertificate,
     NotEtfGramError,
+    _anchored,
     _certificate_from,
     _codes,
     _individualize,
@@ -58,7 +59,8 @@ def test_normalize_produces_all_ones_border():
         assert np.all(ng.exact[1:, 0] == 1)
         assert np.all(np.diag(ng.exact) == 0)
         # normalization is itself a monomial equivalence
-        res = are_equivalent(G, ng.gram)
+        normalized = GramMatrix(np.eye(N) + ng.exact / np.sqrt(N - 1), exact_scaled=ng.exact)
+        res = are_equivalent(G, normalized)
         assert res.equivalent
 
 
@@ -81,6 +83,19 @@ def test_certificate_apply_identity():
     H = cert.apply(G)
     assert np.allclose(H.values, G.values)
     assert np.array_equal(H.exact_scaled, G.exact_scaled)
+
+
+@pytest.mark.parametrize("permutation,phases", [
+    ((0, 1, 2, 3, 4, 5, 6, 6), (1,) * 8),   # repeats 6, never writes row 7
+    ((0, 1, 2, 3, 4, 5, 6, 8), (1,) * 8),   # out of range
+    ((0, 1, 2, 3, 4, 5, 6), (1,) * 7),      # too short
+    (tuple(range(8)), (1,) * 7),            # one phase missing
+])
+def test_certificate_apply_rejects_a_non_permutation(permutation, phases):
+    # filling np.empty_like through np.ix_ would leave unwritten entries
+    G = search.paley_reference_grams(4)["P"]
+    with pytest.raises(ValueError, match="permutation of range"):
+        EquivalenceCertificate(permutation, phases).apply(G)
 
 
 def test_self_equivalence_returns_verifying_certificate():
@@ -185,7 +200,7 @@ def test_paley_gram_is_equivalent_to_its_conjugate():
 
 
 # ---------------------------------------------------------------------------
-# fingerprints: invariants for bucketing, never proofs of equivalence
+# fingerprints: the root trace of the canonical search
 
 
 def test_fingerprint_is_invariant_under_monomial_transforms():
@@ -198,6 +213,27 @@ def test_fingerprint_is_invariant_under_monomial_transforms():
         assert equivalence_fingerprint(H) == fp
 
 
+def _roots_and_references(n):
+    sols = search.enumerate(n)
+    grams = [search.record_gram(s) for s in sols]
+    roots = sorted(set(search._symmetry_orbits(n, sols, grams)))
+    return grams, [grams[i] for i in roots] + list(search.paley_reference_grams(n).values())
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_fingerprint_is_the_first_entry_of_the_canonical_key(n):
+    for G in _roots_and_references(n)[1]:
+        assert equivalence_fingerprint(G) == (G.size, canonical_form(G).key[0])
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_fingerprint_has_one_value_per_n(n):
+    # the traced benchmark expects one distinct value per n
+    grams, references = _roots_and_references(n)
+    pool = grams + [G.conjugated() for G in grams] + references
+    assert len({equivalence_fingerprint(G) for G in pool}) == 1
+
+
 # ---------------------------------------------------------------------------
 # canonical forms: refinement, invariance, agreement with the oracle
 
@@ -206,8 +242,7 @@ def test_refine_commutes_with_relabeling():
     G = search.paley_reference_grams(12)["P"]
     codes = _codes(normalize(G).exact)
     N = len(codes)
-    start = np.ones(N, dtype=np.int64)
-    start[0] = 0
+    start = _anchored(N)
     rng = np.random.default_rng(12)
     for colors in (start, _individualize(_refine(codes, start)[0], 5)):
         refined, trace = _refine(codes, colors)
@@ -279,10 +314,7 @@ def test_unverified_certificate_is_an_internal_error(monkeypatch):
 def test_canonical_keys_agree_with_the_backtracking_oracle(n):
     # every pair of orbit roots and Paley references: equal keys exactly
     # when the oracle finds an equivalence, and each match verifies
-    sols = search.enumerate(n)
-    grams = [search.record_gram(s) for s in sols]
-    roots = sorted(set(search._symmetry_orbits(n, sols, grams)))
-    pool = [grams[i] for i in roots] + list(search.paley_reference_grams(n).values())
+    pool = _roots_and_references(n)[1]
     keys = [canonical_form(G).key for G in pool]
     matches = 0
     for i in range(len(pool)):

@@ -49,8 +49,6 @@ def test_config_defaults():
     dict(n=4, p=7),
     dict(n=4, restarts=0),
     dict(n=4, max_iterations=0),
-    dict(n=4, angle_rel_tol=0.0),
-    dict(n=4, angle_rel_tol=0.5),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

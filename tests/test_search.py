@@ -36,7 +36,6 @@ from skewframes.search import (
     _shift,
     _sweep,
     _unpack,
-    brute_force_enumerate,
     canonicalize_b,
     classify,
     enumerate,
@@ -46,6 +45,8 @@ from skewframes.search import (
     record_gram,
     save_records,
 )
+
+from search_oracle import brute_force_enumerate
 
 EXPECTED_PAIRS = {
     2: [("2", "3"), ("3", "3")],
