@@ -25,6 +25,7 @@ the resulting class against the Paley-type references.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -56,6 +57,9 @@ from .search import SolutionRecord, paley_tags
 
 _TIE_RTOL = 1e-12  # restart values this close, relatively, count as tied
 _ANGLE_RTOL = 1e-7  # relative tolerance of the ETF gate (is_etf) on each restart
+_MEMORY = 10  # curvature pairs L-BFGS keeps
+_GTOL = 1e-13  # L-BFGS stops once every gradient entry is this small
+_TRIALS = 30  # trial steps of each line search, 1 down to 2^-29
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,56 @@ def _newton_polish(x, R, pi, p):
     return x
 
 
+def _lbfgs(fun, x0, max_iterations):
+    """Minimize fun, which returns (value, gradient), by L-BFGS from x0
+    and return the last iterate.  The two-loop recursion over the last
+    _MEMORY curvature pairs gives the direction, with the initial inverse
+    Hessian 1/|g| on the first step and s.y / y.y after; a pair enters
+    only if s.y > 0.  An Armijo backtracking search (c1 = 1e-4) halves
+    the step from 1 until the value drops enough, in at most _TRIALS
+    evaluations.  Stops when max |g| <= _GTOL, when no step lowers the
+    value (no trial passes, or the one that passes leaves the value as it
+    was: the value has stopped resolving), or after max_iterations
+    iterations.  Nocedal, Math. Comp. 35 (1980); Liu and Nocedal, Math.
+    Program. 45 (1989)."""
+    x = x0
+    f, g = fun(x)
+    pairs = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y), oldest first
+    for _ in range(max_iterations):
+        if np.max(np.abs(g)) <= _GTOL:
+            break
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= (s @ y) / (y @ y)
+        else:
+            q /= np.linalg.norm(g)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (y @ q)) * s
+        slope = -(g @ q)
+        t = 1.0
+        for _ in range(_TRIALS):
+            x_new = x - t * q
+            f_new, g_new = fun(x_new)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no trial step passes the Armijo test
+        if not f_new < f:
+            break  # the accepted step leaves the value where it was
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        x, f, g = x_new, f_new, g_new
+    return x
+
+
 def minimize_fiducial(config: MinimizeConfig,
                       flavor: DihedralFlavor = DihedralFlavor.PROJECTIVE,
                       ) -> MinimizeResult:
@@ -152,9 +206,6 @@ def minimize_fiducial(config: MinimizeConfig,
     1e-12 of the smallest passing value count as tied, so the choice
     does not follow rounding noise.
     """
-    # scipy.optimize is most of the package's import time; only this needs it
-    from scipy.optimize import minimize
-
     n = config.n
     args = (*_orbit_kernel(n, flavor), config.p)
     rng = np.random.default_rng(config.seed)
@@ -165,13 +216,11 @@ def minimize_fiducial(config: MinimizeConfig,
         x0 = rng.standard_normal(2 * n)
         while np.linalg.norm(x0) < 1e-3:
             x0 = rng.standard_normal(2 * n)
-        res = minimize(
-            _potential, x0, args=args, jac=True, method="L-BFGS-B",
-            options={"maxiter": config.max_iterations, "ftol": 0.0, "gtol": 1e-13})
-        nrm = np.linalg.norm(res.x)
+        x = _lbfgs(lambda x: _potential(x, *args), x0, config.max_iterations)
+        nrm = np.linalg.norm(x)
         if nrm < 1e-12:
             continue
-        x = _newton_polish(res.x / nrm, *args)
+        x = _newton_polish(x / nrm, *args)
         v = x[:n] + 1j * x[n:]
         orbit = dihedral_orbit(v, flavor)
         value = frame_potential(orbit, config.p)

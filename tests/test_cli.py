@@ -285,6 +285,19 @@ def test_import_pulls_in_neither_numpy_random_nor_scipy_optimize():
     assert proc.stdout == "[]\n"
 
 
+def test_discover_runs_without_scipy():
+    # the L-BFGS is in-repo numpy; scipy is no runtime dependency
+    env = dict(os.environ, PYTHONPATH=str(Path(skewframes.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from skewframes import numopt; "
+         "numopt.discover(4, numopt.MinimizeConfig(4, restarts=9, seed=7)); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_classify_pulls_in_no_numpy_random():
     # the equivalence engine and its fingerprint use fixed weights, not a
     # seeded generator, so classification pays no numpy.random import

@@ -95,6 +95,62 @@ def test_closed_form_gradient_matches_central_differences(flavor, n):
 
 
 # ---------------------------------------------------------------------------
+# L-BFGS
+
+
+def test_lbfgs_finds_the_minimizer_of_a_convex_quadratic():
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((12, 12))
+    A = M @ M.T + 12 * np.eye(12)
+    c = rng.standard_normal(12)
+    x_min = np.linalg.solve(A, c)
+    # 0.5 x.A.x - c.x up to a constant, written to be 0 at its minimum so
+    # that the value resolves the last digits there
+    x = numopt._lbfgs(lambda x: (0.5 * (x - x_min) @ A @ (x - x_min), A @ x - c),
+                      rng.standard_normal(12), 200)
+    assert np.max(np.abs(x - x_min)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_lbfgs_evaluates_at_most_thirty_times_per_iteration(k):
+    R, pi = numopt._orbit_kernel(6, DihedralFlavor.PROJECTIVE)
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return numopt._potential(x, R, pi, 4)
+
+    numopt._lbfgs(fun, np.random.default_rng(k).standard_normal(12), k)
+    assert 1 < len(calls) <= 1 + 30 * k
+
+
+def test_lbfgs_stops_when_no_trial_step_lowers_the_value():
+    # a gradient of the wrong sign points uphill: all 30 trial steps fail
+    # the Armijo test, and the start comes back
+    x0 = np.array([1.0, -2.0, 3.0])
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return float(x @ x), -2 * x
+
+    x = numopt._lbfgs(fun, x0.copy(), 10)
+    assert np.array_equal(x, x0) and len(calls) == 31
+
+
+def test_lbfgs_returns_a_stationary_start_unchanged():
+    x0 = np.array([1.0, -2.0, 3.0])
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return float(x @ x), np.zeros(3)
+
+    x = numopt._lbfgs(fun, x0.copy(), 10)
+    assert np.array_equal(x, x0) and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
 # minimization
 
 
