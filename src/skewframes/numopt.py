@@ -25,6 +25,7 @@ the resulting class against the Paley-type references.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -82,6 +83,9 @@ class MinimizeConfig:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1:
             raise ValueError("need a positive iteration budget")
+        if self.seed < 0:
+            # random.Random(-s) seeds the same stream as random.Random(s)
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -197,8 +201,9 @@ def minimize_fiducial(config: MinimizeConfig,
     """Restarted L-BFGS minimization of the orbit frame potential, each
     restart polished by Newton steps.
 
-    Deterministic for a fixed config: restarts draw their starting
-    points from one seeded generator.  A restart's value is
+    Deterministic for a fixed config: each restart starts from 2n
+    standard Gaussian draws of one random.Random(config.seed), drawn
+    again if their norm is below 1e-3.  A restart's value is
     frame_potential of the orbit the ETF gate (is_etf at _ANGLE_RTOL)
     judges.  The best restart is the one with the smallest value among
     those that pass the gate, or among all restarts when none passes;
@@ -208,14 +213,14 @@ def minimize_fiducial(config: MinimizeConfig,
     """
     n = config.n
     args = (*_orbit_kernel(n, flavor), config.p)
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     wb = welch_bound(2 * n, n)
     candidates = []  # (fails the gate, value, v) per restart
     diagnostics = []
     for _ in range(config.restarts):
-        x0 = rng.standard_normal(2 * n)
+        x0 = np.zeros(2 * n)
         while np.linalg.norm(x0) < 1e-3:
-            x0 = rng.standard_normal(2 * n)
+            x0 = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n)])
         x = _lbfgs(lambda x: _potential(x, *args), x0, config.max_iterations)
         nrm = np.linalg.norm(x)
         if nrm < 1e-12:

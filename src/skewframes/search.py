@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -177,7 +176,9 @@ def enumerate(n: int, jobs: int = 1) -> List[BlockSkewHadamard]:
     if jobs == 1:
         results = [_sweep(shards[0])]
     else:
-        # jobs sets the shards (and so the output order), not the process count
+        # imported here, so serial calls never load multiprocessing; jobs
+        # sets the shards (and so the output order), not the process count
+        from concurrent.futures import ProcessPoolExecutor
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with ProcessPoolExecutor(max_workers=min(jobs, cpus or 1)) as pool:
             results = list(pool.map(_sweep, shards))

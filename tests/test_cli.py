@@ -239,6 +239,12 @@ def test_discover_prints_record(capsys):
     assert class_id == "1"
 
 
+def test_discover_rejects_a_negative_seed(capsys):
+    # random.Random(-3) would seed the same stream as random.Random(3)
+    assert run(["discover", "--n", "2", "--seed", "-3"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_discover_failure_line(capsys):
     assert run(["discover", "--n", "3", "--restarts", "1",
                 "--max-iterations", "2"]) == 1
@@ -272,40 +278,48 @@ def test_console_script_entry_point():
     assert proc.stdout == "skew-Hadamard: yes; ETF(4,2): yes; regular: yes\n"
 
 
+def _loaded(code, modules):
+    """Run code in a fresh interpreter on the package this suite imports
+    and return which of modules it left in sys.modules (a module counts
+    with any of its submodules)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skewframes.__file__).resolve().parents[1]))
+    probe = (f"{code}\nimport sys\n"
+             f"print(' '.join(m for m in {tuple(modules)!r} "
+             "if any(k == m or k.startswith(m + '.') for k in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_import_pulls_in_neither_numpy_random_nor_scipy_optimize():
     # both add to the start-up time every CLI call pays; only the calls
     # that need them import them
-    env = dict(os.environ, PYTHONPATH=str(Path(skewframes.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, skewframes; "
-         "print(sorted(m for m in ('numpy.random', 'scipy.optimize') if m in sys.modules))"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _loaded("import skewframes", ["numpy.random", "scipy.optimize"]) == []
 
 
 def test_discover_runs_without_scipy():
     # the L-BFGS is in-repo numpy; scipy is no runtime dependency
-    env = dict(os.environ, PYTHONPATH=str(Path(skewframes.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from skewframes import numopt; "
-         "numopt.discover(4, numopt.MinimizeConfig(4, restarts=9, seed=7)); "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    code = ("from skewframes import numopt\n"
+            "numopt.discover(4, numopt.MinimizeConfig(4, restarts=9, seed=7))")
+    assert _loaded(code, ["scipy"]) == []
+
+
+def test_discover_pulls_in_no_numpy_random():
+    # restarts start from the standard library's random, which numpy
+    # itself already imports
+    code = ("from skewframes.numopt import MinimizeConfig, discover\n"
+            "from skewframes.search import SolutionRecord\n"
+            "assert isinstance(discover(4, MinimizeConfig(4, restarts=9, seed=7)), SolutionRecord)")
+    assert _loaded(code, ["numpy.random"]) == []
 
 
 def test_classify_pulls_in_no_numpy_random():
     # the equivalence engine and its fingerprint use fixed weights, not a
     # seeded generator, so classification pays no numpy.random import
-    env = dict(os.environ, PYTHONPATH=str(Path(skewframes.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from skewframes import search; search.classify(8); "
-         "print('numpy.random' in sys.modules)"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert _loaded("from skewframes import search\nsearch.classify(8)", ["numpy.random"]) == []
+
+
+def test_serial_calls_pull_in_no_process_pool():
+    # only enumerate(..., jobs > 1) imports the process pool
+    code = "from skewframes import search\nsearch.enumerate(8)\nsearch.classify(8)"
+    assert _loaded(code, ["multiprocessing", "concurrent.futures.process"]) == []

@@ -12,6 +12,7 @@ bit-sliced search at small n, testing the defining matrix identity
 directly on every candidate pair.
 """
 
+import concurrent.futures
 import itertools
 import math
 import os
@@ -185,7 +186,9 @@ def test_enumerate_pool_is_capped_at_available_processors(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    # enumerate imports the executor inside its jobs > 1 branch, so the
+    # stand-in goes where that import reads it from
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     serial = [(r.a, r.b) for r in enumerate(6)]
     assert [(r.a, r.b) for r in enumerate(6, jobs=64)] == serial
