@@ -14,9 +14,9 @@ Conventions used throughout the package:
   the wrapped entry negated.
 - Exact cyclotomic arithmetic represents an element of Q(zeta_m) as a
   sparse dict {exponent: Fraction} in zeta_m = exp(-2j*pi/m).  Its two
-  kernels run on integers over a common denominator: equality tests sum
-  rows of a cached table of x**e mod Phi_m, and cyclo_matmul is a cyclic
-  convolution of (rows, cols, m) integer arrays.
+  kernels pack a whole matrix as integers over one common denominator:
+  equality and zero tests multiply a (rows*cols, m) array by a cached table
+  of x**e mod Phi_m, and cyclo_matmul convolves (rows, cols, m) arrays.
 """
 
 from __future__ import annotations
@@ -242,15 +242,34 @@ def _reduction_table(m: int) -> tuple:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _reduction_array(m: int) -> tuple:
+    """_reduction_table(m) as an int64 array, and its largest |entry|."""
+    R = np.array(_reduction_table(m), dtype=np.int64)
+    return R, int(np.abs(R).max())
+
+
+def _reduce(entries: dict, size: int, m: int) -> np.ndarray:
+    """(size, phi(m)) remainders mod Phi_m of integer coefficients keyed by
+    flat index into a (size, m) array; int64 when max|entry| * max|table|
+    * m < 2**62, else exact Python ints."""
+    R, r_max = _reduction_array(m)
+    bound = max(map(abs, entries.values()), default=0) * r_max * m
+    dtype = np.int64 if bound < 1 << 62 else object
+    flat = np.zeros(size * m, dtype)
+    flat[list(entries)] = list(entries.values())
+    return flat.reshape(size, m) @ R.astype(dtype, copy=False)
+
+
 class CycloPoly:
     """Element of Q(zeta_m), zeta_m = exp(-2j*pi/m), as a sparse
     polynomial {exponent: Fraction} with exponents taken mod m.
 
     Products only fold exponents mod m.  reduced() and is_zero() take the
     canonical remainder modulo the m-th cyclotomic polynomial, which is
-    what makes equality testing exact: they scale the coefficients to
-    integers over the lcm of their denominators and sum the matching rows
-    of _reduction_table(m), building Fractions only for reduced().
+    what makes equality testing exact.  Both run the matrix kernel on a
+    1 x 1 matrix: coefficients scaled to integers over the lcm of their
+    denominators, times the table of x**e mod Phi_m.
     """
 
     __slots__ = ("order", "coeffs")
@@ -293,11 +312,7 @@ class CycloPoly:
         return CycloPoly(self.order, out)
 
     def __sub__(self, other):
-        self._same_order(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] - c if e in out else -c
-        return CycloPoly(self.order, out)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -319,33 +334,21 @@ class CycloPoly:
     def conjugate(self):
         return CycloPoly(self.order, {-e % self.order: c for e, c in self.coeffs.items()})
 
-    def _remainder(self):
-        """(numerators, den): the remainder modulo the cyclotomic
-        polynomial as phi(order) integers over the common denominator."""
-        table = _reduction_table(self.order)
-        den = lcm(*(c.denominator for c in self.coeffs.values()))
-        acc = [0] * len(table[0])
-        for e, c in self.coeffs.items():
-            num = c.numerator * (den // c.denominator)
-            if e < len(acc):
-                acc[e] += num
-            else:
-                acc = [a + num * r for a, r in zip(acc, table[e])]
-        return acc, den
-
     def reduced(self) -> tuple:
         """Canonical coefficient tuple of degree < phi(order): the
         remainder modulo the cyclotomic polynomial."""
-        acc, den = self._remainder()
-        return tuple(Fraction(a, den) for a in acc)
+        entries, den = _scaled_entries([[self]], self.order)
+        return tuple(Fraction(a, den) for a in _reduce(entries, 1, self.order)[0].tolist())
 
     def is_zero(self) -> bool:
-        return not self.coeffs or not any(self._remainder()[0])
+        return cyclo_is_zero([[self]])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloPoly.rational(self.order, other)
-        return (self - other).is_zero()
+        elif not isinstance(other, CycloPoly):
+            return NotImplemented
+        return cyclo_equal([[self]], [[other]])
 
     def __hash__(self):
         return hash((self.order, self.reduced()))
@@ -370,7 +373,7 @@ def _scaled_entries(M, order: int):
     if any(x.order != order for row in M for x in row):
         raise ValueError("mixed cyclotomic orders")
     den = lcm(*(c.denominator for row in M for x in row for c in x.coeffs.values()))
-    cols = len(M[0])
+    cols = len(M[0]) if M else 0
     return {(i * cols + j) * order + e: c.numerator * (den // c.denominator)
             for i, row in enumerate(M) for j, x in enumerate(row)
             for e, c in x.coeffs.items()}, den
@@ -399,15 +402,18 @@ def cyclo_matmul(A, B):
     for s in {i % m for i in a}:
         acc[:, :, s:s + m] += (Aint[:, :, s] @ Bint).reshape(rows, cols, m)
     C = acc[:, :, :m] + acc[:, :, m:]
-    out = [[{} for _ in range(cols)] for _ in range(rows)]
+    # the entries come out folded and nonzero, so CycloPoly.__init__ is skipped
+    out = [[CycloPoly.__new__(CycloPoly) for _ in range(cols)] for _ in range(rows)]
+    for x in (x for row in out for x in row):
+        x.order, x.coeffs = m, {}
     nz = np.nonzero(C)
     for i, j, e, v in zip(*(x.tolist() for x in nz), C[nz].tolist()):
-        out[i][j][e] = Fraction(v, a_den * b_den)
-    return [[CycloPoly(m, d) for d in row] for row in out]
+        out[i][j].coeffs[e] = Fraction(v, a_den * b_den)
+    return out
 
 
 def cyclo_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[a + b for a, b in zip(ra, rb, strict=True)] for ra, rb in zip(A, B, strict=True)]
 
 
 def cyclo_conj_transpose(A):
@@ -416,11 +422,20 @@ def cyclo_conj_transpose(A):
 
 
 def cyclo_is_zero(A) -> bool:
-    return all(x.is_zero() for row in A for x in row)
+    m = A[0][0].order if A and A[0] else 1
+    return not _reduce(_scaled_entries(A, m)[0], sum(map(len, A)), m).any()
 
 
 def cyclo_equal(A, B) -> bool:
-    return all((a - b).is_zero() for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+    if [len(row) for row in A] != [len(row) for row in B]:
+        raise ValueError("matrix shapes differ")
+    m = A[0][0].order if A and A[0] else 1
+    (a, a_den), (b, b_den) = _scaled_entries(A, m), _scaled_entries(B, m)
+    den = lcm(a_den, b_den)
+    diff = {k: v * (den // a_den) for k, v in a.items()}
+    for k, v in b.items():
+        diff[k] = diff.get(k, 0) - v * (den // b_den)
+    return not _reduce(diff, sum(map(len, A)), m).any()
 
 
 def cyclo_trace(A) -> CycloPoly:

@@ -19,6 +19,7 @@ from skewframes.algebra import (
     RootIndex,
     circulant,
     circulant_eigenvalue,
+    cyclo_add,
     cyclo_conj_transpose,
     cyclo_equal,
     cyclo_identity,
@@ -35,6 +36,7 @@ from skewframes.algebra import (
     negacirculant,
     negacirculant_eigenvalue,
     root_power,
+    _reduce,
     _reduction_table,
 )
 
@@ -274,6 +276,28 @@ def test_cyclopoly_arithmetic_rejects_mixed_orders():
     assert z8 * 3 == CycloPoly.root(8, 1, coeff=3)
 
 
+def test_cyclopoly_equality_with_other_types_is_false():
+    one = CycloPoly.rational(8, 1)
+    assert one == 1 and one == Fraction(2, 2)
+    assert not one == "x"
+    assert one != "x" and "x" != one
+    assert one != None  # noqa: E711
+    assert one != [1]
+
+
+def test_elementwise_ops_reject_mismatched_shapes():
+    # zipping rows would truncate the longer operand and compare a prefix
+    a, b = CycloPoly.root(8, 1), CycloPoly.root(8, 3)
+    for A, B in (([[a], [b]], [[a]]), ([[a]], [[a], [b]]), ([[a, b]], [[a]]),
+                 ([[a], [b]], [[a, b]])):
+        with pytest.raises(ValueError):
+            cyclo_equal(A, B)
+        with pytest.raises(ValueError):
+            cyclo_add(A, B)
+    # empty operands have equal shapes and nothing to compare
+    assert cyclo_equal([], []) and cyclo_equal([[]], [[]]) and cyclo_is_zero([])
+
+
 def test_cyclopoly_matches_float_value():
     z = CycloPoly.root(12, 5, coeff=Fraction(3, 7))
     want = Fraction(3, 7) * 1.0 * cmath.exp(-2j * cmath.pi * 5 / 12)
@@ -451,3 +475,75 @@ def test_exact_checks_reject_broken_projectors():
     same = [row[:] for row in P0]
     same[2][5] = same[2][5] + CycloPoly(m, {0: Fraction(1), 60: Fraction(1)})
     assert cyclo_equal(cyclo_matmul(same, same), P0)
+
+
+def vanishing_element(m, scale=1):
+    """Rational multiples of x**k * Phi_m(x): zero in Q(zeta_m), although
+    their coefficients are not."""
+    phi = cyclotomic_polynomial(m)
+    out = {}
+    for _ in range(int(rng.integers(1, 3))):
+        k = int(rng.integers(0, m))
+        c = Fraction(int(rng.integers(1, 21)) * scale, int(rng.integers(1, 13)))
+        for i, p in enumerate(phi):
+            out[(k + i) % m] = out.get((k + i) % m, Fraction(0)) + c * p
+    return CycloPoly(m, out)
+
+
+def check_against_long_division(m, scale=1):
+    """Zero and equality tests of whole matrices, and reduced()/is_zero()
+    of their entries, against long division: on a random matrix A, a
+    matrix Z of vanishing elements, B = A + Z, and B with one entry
+    moved by a nonzero element."""
+    A = random_cyclo_matrix(m, 3, 4, scale)
+    Z = [[vanishing_element(m, scale) for _ in range(4)] for _ in range(3)]
+    B = [[a + z for a, z in zip(ra, rz)] for ra, rz in zip(A, Z)]
+    moved = [row[:] for row in B]
+    moved[2][1] = moved[2][1] + CycloPoly.root(m, int(rng.integers(0, m)), Fraction(1, 7))
+    mats = {"A": A, "Z": Z, "B": B, "moved": moved}
+    want = {}
+    for name, M in mats.items():
+        want[name] = [[long_division_remainder(x) for x in row] for row in M]
+        assert [[x.reduced() for x in row] for row in M] == want[name]
+        assert ([[x.is_zero() for x in row] for row in M]
+                == [[not any(r) for r in row] for row in want[name]])
+        assert cyclo_is_zero(M) == (not any(any(r) for row in want[name] for r in row))
+    for x, y in (("A", "B"), ("B", "A"), ("A", "moved"), ("moved", "B"), ("A", "A")):
+        assert cyclo_equal(mats[x], mats[y]) == (want[x] == want[y])
+    # both verdicts occur, so the comparisons above are not vacuous
+    assert cyclo_is_zero(Z) and cyclo_equal(A, B) and cyclo_equal(B, A)
+    assert not cyclo_equal(A, moved) and not cyclo_is_zero(moved)
+
+
+@pytest.mark.parametrize("m", TABLE_ORDERS)
+def test_matrix_reduction_matches_long_division(m):
+    check_against_long_division(m)
+
+
+def test_matrix_reduction_is_exact_past_int64():
+    # coefficients of 2^70 do not fit int64 at all
+    for m in (24, 105):
+        check_against_long_division(m, scale=1 << 70)
+    # coefficients of 2^58 fit int64, but the remainder does not: with the
+    # signs of column k of the table, coefficient k of the remainder is
+    # 2^58 times that column's absolute sum, which is at least 32 at m = 105
+    m = 105
+    R = np.array(_reduction_table(m))
+    k = int(np.argmax(np.abs(R).sum(axis=0)))
+    assert np.abs(R[:, k]).sum() >= 32
+    p = CycloPoly(m, {e: Fraction(int(np.sign(R[e, k])) << 58) for e in range(m) if R[e, k]})
+    want = long_division_remainder(p)
+    assert abs(want[k]) >= 1 << 63
+    assert p.reduced() == want
+    assert not p.is_zero() and not cyclo_is_zero([[p]])
+    assert cyclo_equal([[p]], [[CycloPoly(m, {i: c for i, c in enumerate(want)})]])
+
+
+def test_matrix_reduction_int64_bound_counts_the_table_entries():
+    # at m = 105 the table holds a 2, so a coefficient c with c * m just
+    # under 2^62 gives a bound c * 2 * m past it: exact Python ints
+    m = 105
+    c = ((1 << 62) - 1) // m
+    assert max(abs(x) for row in _reduction_table(m) for x in row) == 2
+    assert _reduce({0: c}, 1, m).dtype == object
+    assert _reduce({0: c // 2}, 1, m).dtype == np.int64
