@@ -17,6 +17,10 @@ Conventions used throughout the package:
   kernels pack a whole matrix as integers over one common denominator:
   equality and zero tests multiply a (rows*cols, m) array by a cached table
   of x**e mod Phi_m, and cyclo_matmul convolves (rows, cols, m) arrays.
+  Both pick the narrowest of three exact tiers from a bound on every
+  partial sum (_exact_dtype): float64 below 2**53, where integer-valued
+  doubles add and multiply exactly in any order, so BLAS may block and
+  thread the product as it likes; int64 below 2**62; Python ints beyond.
 """
 
 from __future__ import annotations
@@ -249,16 +253,29 @@ def _reduction_array(m: int) -> tuple:
     return R, int(np.abs(R).max())
 
 
+def _exact_dtype(x_max: int, y_max: int, terms: int):
+    """The narrowest dtype that holds both operands of a product and every
+    partial sum of `terms` products x * y with |x| <= x_max, |y| <= y_max:
+    float64 while that bound is below 2**53, int64 below 2**62, else
+    object (exact Python ints).  A float64 result is integral and exact,
+    whatever the BLAS or its thread count; callers cast it to int64."""
+    bound = max(x_max * y_max * terms, x_max, y_max)
+    if bound < 1 << 53:
+        return np.float64
+    return np.int64 if bound < 1 << 62 else object
+
+
 def _reduce(entries: dict, size: int, m: int) -> np.ndarray:
     """(size, phi(m)) remainders mod Phi_m of integer coefficients keyed by
-    flat index into a (size, m) array; int64 when max|entry| * max|table|
-    * m < 2**62, else exact Python ints."""
+    flat index into a (size, m) array, as int64 or object (Python int)
+    entries; the product runs in the tier _exact_dtype picks for
+    max|entry|, max|table| and m terms."""
     R, r_max = _reduction_array(m)
-    bound = max(map(abs, entries.values()), default=0) * r_max * m
-    dtype = np.int64 if bound < 1 << 62 else object
+    dtype = _exact_dtype(max(map(abs, entries.values()), default=0), r_max, m)
     flat = np.zeros(size * m, dtype)
     flat[list(entries)] = list(entries.values())
-    return flat.reshape(size, m) @ R.astype(dtype, copy=False)
+    out = flat.reshape(size, m) @ R.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 class CycloPoly:
@@ -372,11 +389,14 @@ def _scaled_entries(M, order: int):
     denominator."""
     if any(x.order != order for row in M for x in row):
         raise ValueError("mixed cyclotomic orders")
-    den = lcm(*(c.denominator for row in M for x in row for c in x.coeffs.values()))
     cols = len(M[0]) if M else 0
-    return {(i * cols + j) * order + e: c.numerator * (den // c.denominator)
-            for i, row in enumerate(M) for j, x in enumerate(row)
-            for e, c in x.coeffs.items()}, den
+    ratios = {(i * cols + j) * order + e: c.as_integer_ratio()
+              for i, row in enumerate(M) for j, x in enumerate(row)
+              for e, c in x.coeffs.items()}
+    dens = {d for _, d in ratios.values()}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return {key: p * scale[d] for key, (p, d) in ratios.items()}, den
 
 
 def cyclo_matmul(A, B):
@@ -385,15 +405,16 @@ def cyclo_matmul(A, B):
     Each operand is scaled to integers over one common denominator and
     packed as a (rows, cols, m) array in the basis zeta**0..zeta**(m-1);
     the product is the cyclic convolution C = sum_s roll(A[:, :, s] @ B, s)
-    over the exponents s present in A.  It runs in int64 when
-    max|A| * max|B| * k * m < 2**62, else on exact Python ints."""
+    over the exponents s present in A.  Each coefficient of C sums k * m
+    products, so it runs in the tier _exact_dtype picks for max|A|, max|B|
+    and k * m terms: float64 (BLAS), int64 or exact Python ints."""
     rows, k, cols = len(A), len(B), len(B[0])
     if len(A[0]) != k:
         raise ValueError("inner dimensions differ")
     m = A[0][0].order
     (a, a_den), (b, b_den) = _scaled_entries(A, m), _scaled_entries(B, m)
-    bound = max(map(abs, a.values()), default=0) * max(map(abs, b.values()), default=0)
-    dtype = np.int64 if bound * k * m < 1 << 62 else object
+    dtype = _exact_dtype(max(map(abs, a.values()), default=0),
+                         max(map(abs, b.values()), default=0), k * m)
     Aint, Bint = np.zeros(rows * k * m, dtype), np.zeros(k * cols * m, dtype)
     Aint[list(a)], Bint[list(b)] = list(a.values()), list(b.values())
     Aint, Bint = Aint.reshape(rows, k, m), Bint.reshape(k, cols * m)
@@ -402,6 +423,8 @@ def cyclo_matmul(A, B):
     for s in {i % m for i in a}:
         acc[:, :, s:s + m] += (Aint[:, :, s] @ Bint).reshape(rows, cols, m)
     C = acc[:, :, :m] + acc[:, :, m:]
+    if dtype is np.float64:
+        C = C.astype(np.int64)
     # the entries come out folded and nonzero, so CycloPoly.__init__ is skipped
     out = [[CycloPoly.__new__(CycloPoly) for _ in range(cols)] for _ in range(rows)]
     for x in (x for row in out for x in row):

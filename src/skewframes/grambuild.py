@@ -33,6 +33,7 @@ import numpy as np
 from .algebra import (
     CycloPoly,
     RootIndex,
+    cyclo_matmul,
     cyclotomic_idempotent,
     cyclotomic_idempotent_exact,
     lcm,
@@ -262,25 +263,23 @@ def random_exact_pairs(partition: SpectralPartition, rng):
 
 def tight_idempotent_exact(partition: SpectralPartition, exact_pairs):
     """Exact CycloPoly matrix of the projector X for exact unit pairs
-    (as produced by random_exact_pairs)."""
+    (as produced by random_exact_pairs).
+
+    X = sum_z C_z (x) K_z is one product: the (4 x roots) matrix of the
+    2 x 2 blocks C_z, flattened, times the (roots x n^2) matrix of the
+    flattened projectors K_z; entry (2 bi + bj, n i + j) of it is
+    X[bi n + i][bj n + j]."""
     n, flavor = partition.n, partition.flavor
     order = exact_ring_order(partition)
     zero, one = CycloPoly(order), CycloPoly.rational(order, 1)
-    blocks = []  # (root, 2 x 2 coefficient block), mixed roots then full
-    for z in _by_index(partition.mixed):
+    mixed, full = _by_index(partition.mixed), _by_index(partition.full)
+    blocks = []  # entries of each root's 2 x 2 coefficient block, row by row
+    for z in mixed:
         u, v = exact_pairs[z]
         uc, vc = u.conjugate(), v.conjugate()
-        blocks.append((z, ((u * uc, u * vc), (v * uc, v * vc))))
-    blocks += [(z, ((one, zero), (zero, one))) for z in _by_index(partition.full)]
-    X = [[zero] * (2 * n) for _ in range(2 * n)]
-    for z, C in blocks:
-        K = _projector(n, z, flavor, order)
-        for bi, row in enumerate(C):
-            for bj, coef in enumerate(row):
-                if not coef.coeffs:
-                    continue
-                for i in range(n):
-                    Xi, Ki = X[bi * n + i], K[i]
-                    for j in range(n):
-                        Xi[bj * n + j] = Xi[bj * n + j] + coef * Ki[j]
-    return X
+        blocks.append((u * uc, u * vc, v * uc, v * vc))
+    blocks += [(one, zero, zero, one)] * len(full)
+    right = [[x for row in _projector(n, z, flavor, order) for x in row] for z in mixed + full]
+    P = cyclo_matmul([list(entries) for entries in zip(*blocks)], right)
+    return [[P[2 * bi + bj][n * i + j] for bj in range(2) for j in range(n)]
+            for bi in range(2) for i in range(n)]

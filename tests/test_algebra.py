@@ -36,6 +36,7 @@ from skewframes.algebra import (
     negacirculant,
     negacirculant_eigenvalue,
     root_power,
+    _exact_dtype,
     _reduce,
     _reduction_table,
 )
@@ -452,6 +453,38 @@ def test_cyclo_matmul_int64_bound_counts_the_inner_size_and_order():
     assert [[x.coeffs for x in row] for row in C] == naive_matmul(A, B)
 
 
+@pytest.mark.parametrize("past", [False, True])
+def test_cyclo_matmul_float64_bound_is_2_53(past):
+    # A holds a at every exponent of both entries except one, which holds
+    # a - 1, and B holds b everywhere, so every product coefficient sums
+    # k * m terms to b * (k * m * a - 1), an odd integer.  Past 2^53 (no
+    # double holds it) the bound k * m * a * b is under 2^54 and picks
+    # int64; just under 2^53 it picks float64
+    m, k = 8, 2
+    kma, b = (1 << 27, (1 << 26) + 1) if past else (1 << 30, (1 << 23) - 1)
+    a = kma // (k * m)
+    coef = b * (kma - 1)
+    assert coef % 2 == 1 and (coef > 1 << 53) == past and abs(coef - (1 << 53)) < 1 << 31
+    A = [[CycloPoly(m, {e: Fraction(a - (e == 0)) for e in range(m)}),
+          CycloPoly(m, {e: Fraction(a) for e in range(m)})]]
+    B = [[CycloPoly(m, {e: Fraction(b) for e in range(m)})] for _ in range(k)]
+    C = cyclo_matmul(A, B)
+    assert C[0][0].coeffs == {e: Fraction(coef) for e in range(m)}
+    assert [[x.coeffs for x in row] for row in C] == naive_matmul(A, B)
+    assert _exact_dtype(a, b, k * m) is (np.int64 if past else np.float64)
+
+
+def test_cyclo_matmul_stores_a_big_entry_beside_a_zero_operand():
+    # max|A| * max|B| is 0, but 2^70 fits neither int64 nor a double, and
+    # 2^53 + 1 fits int64 and no double
+    for c in (1 << 70, (1 << 53) + 1):
+        big, zero = [[CycloPoly(8, {0: Fraction(c)})]], [[CycloPoly(8)]]
+        for A, B in ((big, zero), (zero, big)):
+            assert [[x.coeffs for x in row] for row in cyclo_matmul(A, B)] == [[{}]]
+    assert _exact_dtype(1 << 70, 0, 8) is object
+    assert _exact_dtype(0, (1 << 53) + 1, 8) is np.int64
+
+
 def test_cyclo_matmul_rejects_mismatched_operands():
     A = random_cyclo_matrix(8, 2, 3)
     with pytest.raises(ValueError):
@@ -547,3 +580,29 @@ def test_matrix_reduction_int64_bound_counts_the_table_entries():
     assert max(abs(x) for row in _reduction_table(m) for x in row) == 2
     assert _reduce({0: c}, 1, m).dtype == object
     assert _reduce({0: c // 2}, 1, m).dtype == np.int64
+
+
+@pytest.mark.parametrize("m", [2, 6])
+@pytest.mark.parametrize("past", [False, True])
+def test_matrix_reduction_float64_bound_is_2_53(m, past):
+    # coefficient 0 of the remainder is the sum of p[e] * R[e, 0]; p[e] is
+    # x with the sign of R[e, 0], one of them x - 1, so it is the odd
+    # integer |R[:, 0]|.sum() * x - 1, a partial sum of the product as well.
+    # At m = 2 (Phi = x + 1) and m = 6 (Phi = x^2 - x + 1) that column sum
+    # is 2 and 4 of m, so it passes 2^53 while the bound m * x is under
+    # 2^54 and picks int64; with the largest x the float64 tier takes it
+    # stays under (2^53 - 3 at m = 2)
+    R = np.array(_reduction_table(m))
+    col = int(np.abs(R[:, 0]).sum())
+    x = (1 << 53) // col + 1 if past else ((1 << 53) - 1) // m
+    support = [e for e in range(m) if R[e, 0]]
+    p = CycloPoly(m, {e: Fraction(int(np.sign(R[e, 0])) * (x - (e == support[-1])))
+                      for e in support})
+    want = long_division_remainder(p)
+    assert want[0] == col * x - 1 and want[0] % 2 == 1 and (want[0] > 1 << 53) == past
+    assert p.reduced() == want
+    got = _reduce({e: int(c) for e, c in p.coeffs.items()}, 1, m)
+    assert got.dtype == np.int64 and tuple(got[0].tolist()) == want
+    assert not p.is_zero()
+    assert cyclo_equal([[p]], [[CycloPoly(m, dict(enumerate(want)))]])
+    assert _exact_dtype(x, 1, m) is (np.int64 if past else np.float64)

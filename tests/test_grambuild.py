@@ -10,9 +10,13 @@ Frozen facts used as oracles:
   depend on the pairs at all.
 """
 
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
+from grambuild_oracle import per_entry_tight_idempotent_exact
 from skewframes.algebra import RootIndex, cyclo_equal, cyclo_identity, cyclo_matmul
 from skewframes.frames import DihedralFlavor, analyze_gram_structure, is_regular
 from skewframes.grambuild import (
@@ -318,3 +322,55 @@ def test_exact_idempotent_squares_to_itself(n, flavor):
     for i in range(2 * n):
         for j in range(2 * n):
             assert abs(X[i][j].to_complex() - Xf[i, j]) < 1e-9
+
+
+def every_partition(n, flavor):
+    """Every valid partition: each conjugation orbit of roots goes to
+    mixed, full or empty, with as many full roots as empty ones."""
+    orbits = {frozenset({z, z.conjugate()}) for z in full_root_set(n, flavor)}
+    orbits = sorted(orbits, key=lambda o: min((z.order, z.index) for z in o))
+    out = []
+    for labels in product(range(3), repeat=len(orbits)):
+        parts = [frozenset().union(*(o for o, l in zip(orbits, labels) if l == k))
+                 for k in range(3)]
+        if len(parts[1]) == len(parts[2]):
+            out.append(SpectralPartition(n, flavor, *parts))
+    return out
+
+
+@pytest.mark.parametrize("flavor", [STRICT, PROJECTIVE])
+def test_every_partition_has_each_kind_by_n_5(flavor):
+    # all roots mixed, some mixed and some full (n = 4 strict and n = 5),
+    # and no mixed root (n = 2 strict and n = 4)
+    parts = [p for n in range(1, 6) for p in every_partition(n, flavor)]
+    assert {(bool(p.mixed), bool(p.full)) for p in parts} == {(True, False), (True, True),
+                                                              (False, True)}
+    assert all(is_regular_gram(p) == (not p.full) for p in parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("flavor", [STRICT, PROJECTIVE])
+def test_exact_builder_matches_the_per_entry_oracle(n, flavor):
+    parts = every_partition(n, flavor)
+    for seed in range(4):
+        rng = np.random.default_rng(1000 * seed + 10 * n + (flavor is STRICT))
+        for part in parts:
+            pairs = random_exact_pairs(part, rng)
+            X = tight_idempotent_exact(part, pairs)
+            want = per_entry_tight_idempotent_exact(part, pairs)
+            assert [[(x.order, x.coeffs) for x in row] for row in X] == \
+                [[(x.order, x.coeffs) for x in row] for row in want]
+
+
+def test_exact_builder_with_no_mixed_root():
+    # n = 2 strict: the real roots 1 and -1 are full and empty, so X is
+    # I_2 (x) K_1 and every block entry is 0 or the projector's 1/2
+    roots = sorted(full_root_set(2, STRICT), key=lambda z: z.index)
+    part = SpectralPartition(2, STRICT, frozenset(), frozenset(roots[:1]),
+                             frozenset(roots[1:]))
+    X = tight_idempotent_exact(part, {})
+    half = {0: Fraction(1, 2)}
+    assert [[x.coeffs for x in row] for row in X] == [
+        [half, half, {}, {}], [half, half, {}, {}], [{}, {}, half, half], [{}, {}, half, half]]
+    assert [[x.coeffs for x in row] for row in X] == \
+        [[x.coeffs for x in row] for row in per_entry_tight_idempotent_exact(part, {})]
