@@ -79,7 +79,6 @@ from .equiv import (
 )
 from .search import (
     SolutionRecord,
-    canonicalize_b,
     classify,
     enumerate_2circulant,
     load_records,

@@ -18,10 +18,13 @@ The enumeration matches autocorrelation profiles (Dokovic-Kotsireas,
 "Compression of periodic complementary sequences", 2015): the 2^(n/2)
 admissible a fill a table from complementary profile codes to a rows,
 then b is streamed in numpy chunks over the odd x in [3 * 2^(n-2), 2^n),
-where the maximum of each S-orbit lies (proof in _sweep).  Only chunk
-entries whose code is in the table are tested for orbit maximality, so
-nothing of size 2^n is held; jobs > 1 splits the candidates into shards,
-run by at most as many processes as there are processors available.
+where the maximum of each S-orbit lies (proof in _sweep).  Each chunk's
+codes are folded one shift at a time from n-bit words, and only entries
+whose code is in the table are tested for orbit maximality, so nothing
+of size 2^n is held; jobs > 1 splits the candidates into shards, run by
+at most as many processes as there are processors available.  The code
+fits int64 up to n = 32 (17^15 < 2^63 <= 18^16), the largest n; the
+n = 32 sweep takes about 90 s on one core.
 
 Classification groups the surviving pairs by Gram matrix equivalence.
 It first collapses them into orbits of the decimations j -> kj mod 2n,
@@ -62,27 +65,26 @@ from .paley import FiniteField, double_paley_gram, paley_gram, prime_power
 # bit-packed sign vectors (codec in hadamard)
 
 
-def _shift(x: int, n: int) -> int:
-    """Bit image of the sign-twisted rotation S."""
-    return (x >> 1) | ((~x & 1) << (n - 1))
-
-
-def _correlation_popcounts(x, n: int, count: int) -> tuple:
-    """popcount(x ^ S^s x) for s = 1..count; <v, S^s v> = n - 2 popcount.
-    x is an int or an int64 array (then n <= 31): S^s x is the low n bits
-    of the 2n-bit word (~x, x) shifted right by s."""
-    mask = (1 << n) - 1
-    w = ((~x & mask) << n) | x
-    return tuple(np.bitwise_count(x ^ (w >> s) & mask).astype(np.int64)
-                 for s in range(1, count + 1))
+def _shift(x, n: int, s: int = 1):
+    """Bit image of S^s, 0 <= s <= n, for an int or an int64 array: the
+    top n - s bits move down s places and the low s bits, complemented,
+    fill the top, so every value stays below 2^n."""
+    return (x >> s) | ((~x & ((1 << s) - 1)) << (n - s))
 
 
 def _profile_codes(x, n: int, complement: bool = False):
-    """int64 code of the correlation profile (shifts 1..n/2-1), or of the
-    complementary profile n - p.  As p == s (mod 2), p >> 1 is stored as
-    one digit in base n/2 + 1."""
-    code = np.zeros(np.shape(x), dtype=np.int64)
-    for p in _correlation_popcounts(x, n, n // 2 - 1):
+    """int64 code of the profile p_s = popcount(x ^ S^s x), s = 1..n/2-1
+    (<v, S^s v> = n - 2 p_s), or of n - p_s.  As p_s == s (mod 2), p_s >> 1
+    is one digit in base n/2 + 1, and int64 holds n/2 - 1 of them for
+    n <= 32.  Each shift's _shift(x, n, s) ^ x is formed in place in t."""
+    x = np.asarray(x, dtype=np.int64)
+    nx, t, code = ~x, np.empty_like(x), np.zeros_like(x)
+    for s in range(1, n // 2):
+        np.bitwise_and(nx, (1 << s) - 1, out=t)
+        t <<= n - s
+        t |= x >> s
+        t ^= x
+        p = np.bitwise_count(t)
         code *= n // 2 + 1
         code += (n - p if complement else p) >> 1
     return code
@@ -102,12 +104,6 @@ def _canonical_shift(b) -> tuple:
     return _unpack(best, n), orbit.index(best)
 
 
-def canonicalize_b(b) -> tuple:
-    """Representative of the orbit of b under sign-twisted rotations and
-    negation: the encoding-maximal member."""
-    return _canonical_shift(b)[0]
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -117,8 +113,9 @@ _CHUNK = 1 << 14  # encodings per step of the b sweep
 
 def _sweep(args):
     """Canonical b among the odd encodings x = base + 2i, i in [lo, hi),
-    whose profile code is in the sorted array targets.  Each chunk is
-    filtered by profile; only the hits are tested for orbit maximality.
+    whose profile code is in the sorted array targets.  Each chunk of
+    n-bit words is filtered by profile, its codes built one shift at a
+    time; only the hits are tested for orbit maximality.
 
     The S-orbit of x (n even) is the set of length-n windows of the
     antiperiodic sequence u with u[j + n] == -u[j], and its encoding
@@ -158,9 +155,10 @@ def enumerate(n: int, jobs: int = 1) -> List[BlockSkewHadamard]:
     """All two-negacirculant skew Hadamard matrices of order 2n with
     canonical second row, sorted by (hex(a), hex(b)).  Only even n is
     supported (for odd n the diagonal shift s = n/2 is unavailable and the
-    space is not defined), up to 30 to keep the sweep's words in int64."""
-    if not isinstance(n, int) or not 2 <= n <= 30 or n % 2 != 0:
-        raise ValueError("enumeration is supported for even 2 <= n <= 30 only")
+    space is not defined), up to 32, the largest n whose profile code fits
+    int64; the n-bit sweep takes about 90 s on one core at n = 32."""
+    if not isinstance(n, int) or not 2 <= n <= 32 or n % 2 != 0:
+        raise ValueError("enumeration is supported for even 2 <= n <= 32 only")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     a_values = _admissible_a(n)

@@ -4,13 +4,20 @@ independent oracle for the profile sweep of search.enumerate at small n.
 brute_force_enumerate(n) tests every admissible a against every
 canonical b directly with the defining identity P P^T + Q Q^T == 2n I.
 It shares with the engine only the admissible a rows, the sign codec,
-canonicalize_b and assemble.
+the canonical shift and assemble.  canonicalize_b, the orbit
+representative it filters b by, lives here: only the tests call it.
 """
 
 import numpy as np
 
 from skewframes.hadamard import _unpack, assemble, hex_encode
-from skewframes.search import _admissible_a, canonicalize_b
+from skewframes.search import _admissible_a, _canonical_shift
+
+
+def canonicalize_b(b) -> tuple:
+    """Representative of the orbit of b under sign-twisted rotations and
+    negation: the encoding-maximal member."""
+    return _canonical_shift(b)[0]
 
 
 def brute_force_enumerate(n: int):

@@ -143,6 +143,11 @@ def test_search_empty_n_exits_1(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_search_rejects_n_past_the_profile_code(capsys):
+    assert run(["search", "--n", "34"]) == 2
+    assert "enumeration is supported for even 2 <= n <= 32 only" in capsys.readouterr().err
+
+
 def test_classify_stdout_and_summary(capsys):
     assert run(["classify", "--n", "4"]) == 0
     out = capsys.readouterr().out

@@ -29,15 +29,14 @@ from skewframes.search import (
     _CHUNK,
     SolutionRecord,
     _admissible_a,
-    _correlation_popcounts,
     _decimations,
     _image,
     _nega_perm,
     _pack,
+    _profile_codes,
     _shift,
     _sweep,
     _unpack,
-    canonicalize_b,
     classify,
     enumerate,
     enumerate_2circulant,
@@ -47,7 +46,7 @@ from skewframes.search import (
     save_records,
 )
 
-from search_oracle import brute_force_enumerate
+from search_oracle import brute_force_enumerate, canonicalize_b
 
 EXPECTED_PAIRS = {
     2: [("2", "3"), ("3", "3")],
@@ -79,25 +78,40 @@ def test_pack_unpack_roundtrip(v):
 
 
 def test_shift_is_the_sign_twisted_rotation():
+    # _shift(x, n, s) is S^s, for every s in 0..n
     rng = np.random.default_rng(3)
-    for n in (2, 4, 6, 10):
-        for _ in range(10):
-            v = tuple(int(s) for s in rng.choice([1, -1], size=n))
-            assert _unpack(_shift(_pack(v), n), n) == twisted_rotate(v)
+    for n in range(2, 11):
+        assert _shift(_pack((-1,) * n), n) == _pack((1,) + (-1,) * (n - 1))
+        words = rng.integers(0, 1 << n, size=8)
+        for x in words.tolist():
+            v = _unpack(x, n)
+            for s in range(n + 1):
+                assert _unpack(_shift(x, n, s), n) == v
+                v = twisted_rotate(v)
+        # the int64 array form agrees with the int form
+        for s in range(n + 1):
+            assert _shift(words, n, s).tolist() == [_shift(x, n, s) for x in words.tolist()]
 
 
-def test_correlation_popcounts_match_inner_products():
-    rng = np.random.default_rng(4)
-    for n in (4, 6, 8):
-        for _ in range(10):
-            v = tuple(int(s) for s in rng.choice([1, -1], size=n))
-            x = _pack(v)
-            pops = _correlation_popcounts(x, n, n - 1)
-            w = v
-            for s in range(1, n):
-                w = twisted_rotate(w)
-                inner = sum(a * b for a, b in zip(v, w))
-                assert inner == n - 2 * pops[s - 1]
+def reference_profile_code(x, n, complement=False):
+    """The profile code from inner products <v, S^s v> of the sign vector."""
+    v, w, code = _unpack(x, n), _unpack(x, n), 0
+    for _ in range(1, n // 2):
+        w = twisted_rotate(w)
+        p = (n - sum(a * b for a, b in zip(v, w))) // 2
+        code = code * (n // 2 + 1) + ((n - p if complement else p) >> 1)
+    return code
+
+
+@pytest.mark.parametrize("n", range(4, 33, 2))
+def test_profile_codes_match_inner_products(n):
+    rng = np.random.default_rng(n)
+    words = [0, 1 << (n - 1), (1 << n) - 1] + rng.integers(0, 1 << n, size=20).tolist()
+    for complement in (False, True):
+        want = [reference_profile_code(x, n, complement) for x in words]
+        got = _profile_codes(np.array(words, dtype=np.int64), n, complement)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert int(_profile_codes(words[-1], n, complement)) == want[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +163,7 @@ def test_enumerate_counts_and_validity(n):
 
 
 def test_enumerate_rejects_bad_input():
-    for bad in (0, 1, 3, 7, 32):
+    for bad in (0, 1, 3, 7, 34):
         with pytest.raises(ValueError):
             enumerate(bad)
     with pytest.raises(ValueError):
@@ -211,6 +225,30 @@ def test_orbit_maxima_are_odd_with_leading_bits_11(n):
     targets = np.unique(search._profile_codes(np.arange(1 << n), n))
     swept = _sweep((n, (3 << (n - 2)) | 1, 0, count, targets))
     assert set(swept.tolist()) == maxima
+
+
+# the shard from x = 0xF4D2C001 keeps 435 of its 2^10 candidates; the
+# last shard (x up to 2^32 - 1) keeps them all
+@pytest.mark.parametrize("lo", [0x1A696000, (1 << 29) - (1 << 10)])
+def test_sweep_keeps_the_orbit_maxima_at_n_32(lo):
+    # one shard of 2^10 candidates at the largest n, every profile code of
+    # the shard a target; the encoding order of +-1 tuples is their
+    # lexicographic order, so a pure-Python filter compares tuples
+    n, hi = 32, lo + (1 << 10)
+    base = (3 << (n - 2)) | 1
+    assert hi <= ((1 << (n - 2)) + 1) // 2
+    xs = [base + 2 * i for i in range(lo, hi)]
+    maxima = []
+    for x in xs:
+        v = w = _unpack(x, n)
+        for _ in range(2 * n - 1):
+            w = twisted_rotate(w)
+            if w > v:
+                break
+        else:
+            maxima.append(x)
+    targets = np.unique(_profile_codes(np.array(xs, dtype=np.int64), n))
+    assert _sweep((n, base, lo, hi, targets)).tolist() == maxima
 
 
 @pytest.mark.parametrize("n", range(2, 13, 2))
