@@ -41,7 +41,6 @@ from .grambuild import (
     is_regular_gram,
     random_pairs,
     tight_idempotent,
-    upper_block_real_part,
 )
 from .hadamard import (
     AmbiguousEntryError,

@@ -25,6 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -317,24 +318,34 @@ class CycloPoly:
             raise ValueError("need 4 | order to embed Gaussian rationals")
         return cls(order, {0: Fraction(re), (3 * order) // 4: Fraction(im)})
 
-    def _same_order(self, other):
-        if other.order != self.order:
-            raise ValueError("mixed cyclotomic orders")
+    def _coerce(self, other):
+        """other as a CycloPoly of this order, a numbers.Rational as a constant, else None."""
+        if isinstance(other, CycloPoly):
+            if other.order != self.order:
+                raise ValueError("mixed cyclotomic orders")
+            return other
+        if isinstance(other, numbers.Rational):
+            c = Fraction(int(other.numerator), int(other.denominator))  # no numpy ints inside
+            return CycloPoly(self.order, {0: c})
+        return None
 
     def __add__(self, other):
-        self._same_order(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out[e] + c if e in out else c
         return CycloPoly(self.order, out)
 
     def __sub__(self, other):
-        return self + -other
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloPoly(self.order, {e: c * other for e, c in self.coeffs.items()})
-        self._same_order(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         out = {}
         m = self.order
         for e1, c1 in self.coeffs.items():
@@ -355,17 +366,16 @@ class CycloPoly:
         """Canonical coefficient tuple of degree < phi(order): the
         remainder modulo the cyclotomic polynomial."""
         entries, den = _scaled_entries([[self]], self.order)
-        return tuple(Fraction(a, den) for a in _reduce(entries, 1, self.order)[0].tolist())
+        values = _reduce(entries, 1, self.order)[0].tolist()
+        frac = {a: Fraction(a, den) for a in set(values)}
+        return tuple(map(frac.__getitem__, values))
 
     def is_zero(self) -> bool:
         return cyclo_is_zero([[self]])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloPoly.rational(self.order, other)
-        elif not isinstance(other, CycloPoly):
-            return NotImplemented
-        return cyclo_equal([[self]], [[other]])
+        other = self._coerce(other)
+        return NotImplemented if other is None else cyclo_equal([[self]], [[other]])
 
     def __hash__(self):
         return hash((self.order, self.reduced()))
@@ -390,6 +400,8 @@ def _scaled_entries(M, order: int):
     if any(x.order != order for row in M for x in row):
         raise ValueError("mixed cyclotomic orders")
     cols = len(M[0]) if M else 0
+    if any(len(row) != cols for row in M):
+        raise ValueError("ragged matrix")
     ratios = {(i * cols + j) * order + e: c.as_integer_ratio()
               for i, row in enumerate(M) for j, x in enumerate(row)
               for e, c in x.coeffs.items()}
@@ -429,9 +441,12 @@ def cyclo_matmul(A, B):
     out = [[CycloPoly.__new__(CycloPoly) for _ in range(cols)] for _ in range(rows)]
     for x in (x for row in out for x in row):
         x.order, x.coeffs = m, {}
+    # coefficients take few distinct values: one shared Fraction for each
     nz = np.nonzero(C)
-    for i, j, e, v in zip(*(x.tolist() for x in nz), C[nz].tolist()):
-        out[i][j].coeffs[e] = Fraction(v, a_den * b_den)
+    values = C[nz].tolist()
+    frac = {v: Fraction(v, a_den * b_den) for v in set(values)}
+    for i, j, e, v in zip(*(x.tolist() for x in nz), values):
+        out[i][j].coeffs[e] = frac[v]
     return out
 
 

@@ -195,20 +195,6 @@ def build_tight_gram(partition: SpectralPartition,
     return GramMatrix(2.0 * tight_idempotent(partition, pairs))
 
 
-def upper_block_real_part(partition: SpectralPartition) -> np.ndarray:
-    """Predicted real part of the upper-left n x n block of the built
-    Gram matrix: the mixed roots contribute half their projector, the
-    full roots all of it, independent of the unit pairs."""
-    n, flavor = partition.n, partition.flavor
-    A = np.zeros((n, n), dtype=complex)
-    for z in partition.mixed:
-        A += 0.5 * _projector(n, z, flavor)
-    for z in partition.full:
-        A += _projector(n, z, flavor)
-    assert float(np.max(np.abs(A.imag))) < 1e-12
-    return 2.0 * A.real
-
-
 # ---------------------------------------------------------------------------
 # exact counterpart over the cyclotomic ring, used by the test suite
 

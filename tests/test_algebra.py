@@ -39,6 +39,7 @@ from skewframes.algebra import (
     _exact_dtype,
     _reduce,
     _reduction_table,
+    _scaled_entries,
 )
 
 rng = np.random.default_rng(20240811)
@@ -491,6 +492,96 @@ def test_cyclo_matmul_rejects_mismatched_operands():
         cyclo_matmul(A, random_cyclo_matrix(8, 2, 2))
     with pytest.raises(ValueError):
         cyclo_matmul(A, random_cyclo_matrix(16, 3, 2))
+
+
+def test_cyclo_arithmetic_rejects_ragged_matrices():
+    # a short row used to act as though it ended in zeros, and cyclo_equal
+    # keyed positions by the first row's length, so rows could overlap
+    x = CycloPoly.root(8, 1)
+    for A, B in (([[x, x], [x]], [[x], [x]]), ([[x, x]], [[x], [x, x]])):
+        with pytest.raises(ValueError, match="ragged"):
+            cyclo_matmul(A, B)
+    with pytest.raises(ValueError, match="ragged"):
+        cyclo_equal([[x, x], [x]], [[x, x], [x]])
+    with pytest.raises(ValueError, match="ragged"):
+        cyclo_is_zero([[x], [x, -x]])
+
+
+def repeated_value_matrix(gen, m, rows, cols, scale):
+    """Entries of up to four terms whose coefficients come from a set of
+    six values, scale times +-1/3, +-1/2, 1 and -2; scaled to integers,
+    the largest |coefficient| lies between scale and 12 * scale."""
+    values = [Fraction(c * scale) for c in (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2),
+                                            Fraction(-1, 2), 1, -2)]
+    return [[CycloPoly(m, {int(gen.integers(0, m)): values[int(gen.integers(0, 6))]
+                           for _ in range(int(gen.integers(0, 5)))})
+             for _ in range(cols)] for _ in range(rows)]
+
+
+# with k * m = 120, the middle scale puts the tier bound between 2^54 and
+# 2^61.3 whatever the draw
+@pytest.mark.parametrize("scale, tier", [(1, np.float64), (3 << 22, np.int64),
+                                         (1 << 40, object)])
+def test_cyclo_matmul_with_repeated_values_matches_naive_product(scale, tier):
+    gen = np.random.default_rng(scale)
+    m, rows, k, cols = 24, 4, 5, 3
+    A = repeated_value_matrix(gen, m, rows, k, scale)
+    B = repeated_value_matrix(gen, m, k, cols, scale)
+    a_max, b_max = (max(map(abs, _scaled_entries(M, m)[0].values())) for M in (A, B))
+    assert _exact_dtype(a_max, b_max, k * m) is tier
+    C = cyclo_matmul(A, B)
+    assert [[x.coeffs for x in row] for row in C] == naive_matmul(A, B)
+    # equal coefficients are one shared Fraction
+    coeffs = [c for row in C for x in row for c in x.coeffs.values()]
+    assert len(coeffs) > 2 * len(set(coeffs))
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+def test_cyclo_matmul_entries_own_their_coefficient_dicts():
+    m, gen = 8, np.random.default_rng(8)
+    A, B = repeated_value_matrix(gen, m, 3, 3, 1), repeated_value_matrix(gen, m, 3, 3, 1)
+    C = cyclo_matmul(A, B)
+    want = naive_matmul(A, B)
+    assert len({id(x.coeffs) for row in C for x in row}) == 9
+    C[0][0].coeffs.clear()
+    C[1][2].coeffs[5] = Fraction(7)
+    want[0][0], want[1][2] = {}, {**want[1][2], 5: Fraction(7)}
+    assert [[x.coeffs for x in row] for row in C] == want
+
+
+def test_cyclo_matmul_with_an_all_zero_operand():
+    m = 24
+    zero = [[CycloPoly(m) for _ in range(3)] for _ in range(2)]
+    for A, B, shape in ((zero, random_cyclo_matrix(m, 3, 4), (2, 4)),
+                        (random_cyclo_matrix(m, 4, 2), zero, (4, 3))):
+        C = cyclo_matmul(A, B)
+        assert [[x.coeffs for x in row] for row in C] == [[{}] * shape[1]] * shape[0]
+        assert all(x.order == m for row in C for x in row)
+        assert cyclo_is_zero(C)
+
+
+def test_cyclopoly_times_a_numpy_integer():
+    x = CycloPoly(8, {1: Fraction(3, 4), 5: Fraction(-1)})
+    y = x * np.int64(2)
+    assert y.coeffs == {1: Fraction(3, 2), 5: Fraction(-2)}
+    assert all(type(c.numerator) is int for c in y.coeffs.values())
+
+
+def test_cyclopoly_times_a_float_is_a_type_error():
+    x = CycloPoly.root(8, 1)
+    with pytest.raises(TypeError):
+        x * 2.5
+    with pytest.raises(TypeError):
+        2.5 * x
+
+
+def test_cyclopoly_plus_an_integer():
+    x = CycloPoly.root(8, 1)
+    assert (x + 1).coeffs == {1: Fraction(1), 0: Fraction(1)}
+    assert x + 1 == x - (-1) == x + Fraction(2, 2)
+    assert (x - np.int64(1)).coeffs == {1: Fraction(1), 0: Fraction(-1)}
+    with pytest.raises(TypeError):
+        x + "1"
 
 
 def test_exact_checks_reject_broken_projectors():

@@ -33,7 +33,7 @@ from skewframes.grambuild import (
     random_pairs,
     tight_idempotent,
     tight_idempotent_exact,
-    upper_block_real_part,
+    _projector,
 )
 
 STRICT = DihedralFlavor.STRICT
@@ -276,7 +276,15 @@ def test_regularity_of_built_gram_matches_partition_predicate():
 def test_upper_block_real_part_is_pair_independent(n, flavor):
     rng = np.random.default_rng(17 * n + (flavor is STRICT))
     part = all_mixed(n, flavor)
-    predicted = upper_block_real_part(part)
+    # the mixed roots contribute half their projector, the full roots all
+    # of it, whatever the unit pairs
+    A = np.zeros((n, n), dtype=complex)
+    for z in part.mixed:
+        A += 0.5 * _projector(n, z, flavor)
+    for z in part.full:
+        A += _projector(n, z, flavor)
+    assert float(np.max(np.abs(A.imag))) < 1e-12
+    predicted = 2.0 * A.real
     for _ in range(3):
         G = build_tight_gram(part, random_pairs(part, rng))
         assert np.allclose(G.values[:n, :n].real, predicted, atol=1e-10)
