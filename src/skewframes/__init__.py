@@ -46,13 +46,12 @@ from .hadamard import (
     AmbiguousEntryError,
     BlockSkewHadamard,
     ExactifyFailure,
-    NotDihedralETFError,
+    approximate_sign_matrix,
     assemble,
     block_etf_gram,
     double,
     etf_gram,
     exactify,
-    extract_sign_blocks,
     hex_decode,
     hex_encode,
     is_hadamard,
@@ -81,7 +80,6 @@ from .search import (
     classify,
     enumerate_2circulant,
     load_records,
-    save_records,
 )
 from .search import enumerate as enumerate_solutions
 from .numopt import (

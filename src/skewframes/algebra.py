@@ -279,6 +279,14 @@ def _reduce(entries: dict, size: int, m: int) -> np.ndarray:
     return out.astype(np.int64) if dtype is np.float64 else out
 
 
+def _fraction(c) -> Fraction:
+    """c as a Fraction of Python ints; a numpy integer kept inside a
+    Fraction would wrap at 2**63."""
+    if isinstance(c, numbers.Rational):
+        return Fraction(int(c.numerator), int(c.denominator))
+    return Fraction(c)
+
+
 class CycloPoly:
     """Element of Q(zeta_m), zeta_m = exp(-2j*pi/m), as a sparse
     polynomial {exponent: Fraction} with exponents taken mod m.
@@ -297,26 +305,24 @@ class CycloPoly:
         folded = {}
         for e, c in (coeffs or {}).items():
             e %= order
-            if e in folded:
-                folded[e] += c
-            else:
-                folded[e] = c if isinstance(c, Fraction) else Fraction(c)
+            c = c if isinstance(c, Fraction) else _fraction(c)
+            folded[e] = folded[e] + c if e in folded else c
         self.coeffs = {e: c for e, c in folded.items() if c}
 
     @classmethod
     def root(cls, order: int, e: int = 1, coeff=1) -> "CycloPoly":
-        return cls(order, {e: Fraction(coeff)})
+        return cls(order, {e: coeff})
 
     @classmethod
     def rational(cls, order: int, c) -> "CycloPoly":
-        return cls(order, {0: Fraction(c)})
+        return cls(order, {0: c})
 
     @classmethod
     def gaussian(cls, order: int, re, im) -> "CycloPoly":
         # i = exp(-2j*pi * 3/4) = zeta_m ** (3m/4), so m must be divisible by 4.
         if order % 4 != 0:
             raise ValueError("need 4 | order to embed Gaussian rationals")
-        return cls(order, {0: Fraction(re), (3 * order) // 4: Fraction(im)})
+        return cls(order, {0: re, (3 * order) // 4: im})
 
     def _coerce(self, other):
         """other as a CycloPoly of this order, a numbers.Rational as a constant, else None."""
@@ -325,8 +331,7 @@ class CycloPoly:
                 raise ValueError("mixed cyclotomic orders")
             return other
         if isinstance(other, numbers.Rational):
-            c = Fraction(int(other.numerator), int(other.denominator))  # no numpy ints inside
-            return CycloPoly(self.order, {0: c})
+            return CycloPoly(self.order, {0: other})
         return None
 
     def __add__(self, other):

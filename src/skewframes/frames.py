@@ -122,20 +122,13 @@ def coherence(config: Configuration) -> float:
     return float(np.max(G))
 
 
-@dataclass(frozen=True)
-class TightnessReport:
-    tight: bool
-    constant: float
-
-
-def is_tight(config: Configuration, tol: float = 1e-9) -> TightnessReport:
+def is_tight(config: Configuration, tol: float = 1e-9) -> bool:
     """Whether the frame operator V V* is N/n times the identity."""
     V = config.vectors
     n, N = V.shape
     S = V @ V.conj().T
     c = N / n
-    residual = float(np.max(np.abs(S - c * np.eye(n))))
-    return TightnessReport(tight=residual <= tol * c, constant=c)
+    return float(np.max(np.abs(S - c * np.eye(n)))) <= tol * c
 
 
 def is_etf(config: Configuration, rel_tol: float = 1e-7) -> bool:
@@ -144,7 +137,7 @@ def is_etf(config: Configuration, rel_tol: float = 1e-7) -> bool:
     n, N = config.dimension, config.count
     if N <= n:
         raise ValueError("an ETF here needs more vectors than dimensions")
-    if not is_tight(config, tol=rel_tol).tight:
+    if not is_tight(config, tol=rel_tol):
         return False
     A = np.abs(gram(config).values)
     off = A[~np.eye(N, dtype=bool)]

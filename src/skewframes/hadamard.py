@@ -1,5 +1,5 @@
 """Skew Hadamard matrices, their two-negacirculant block form, and the
-bridge from sign matrices to ETF Gram matrices.
+bridge from sign matrices to ETF Gram matrices and back.
 
 Representations:
 
@@ -30,10 +30,6 @@ from .algebra import negacirculant
 
 class AmbiguousEntryError(ValueError):
     """An approximate sign entry is too close to zero to round."""
-
-
-class NotDihedralETFError(ValueError):
-    """A Gram matrix does not carry the expected sign-block structure."""
 
 
 @dataclass(frozen=True)
@@ -155,6 +151,20 @@ def block_etf_gram(H) -> GramMatrix:
     return GramMatrix(np.eye(m) + _angle(m) * S, exact_scaled=S)
 
 
+def approximate_sign_matrix(G: GramMatrix) -> np.ndarray:
+    """Float inverse of block_etf_gram, without rounding: sqrt(m-1) (G - I)
+    on every block, the diagonal blocks times -i, the lower-left block
+    negated, plus I.  exactify rounds the result."""
+    M = G.values
+    m = M.shape[0]
+    n = m // 2
+    H = float(np.sqrt(m - 1)) * (M - np.eye(m))
+    H[:n, :n] *= -1j
+    H[n:, n:] *= -1j
+    H[n:, :n] *= -1
+    return H + np.eye(m)
+
+
 def double(H) -> np.ndarray:
     """Order-doubling: for skew Hadamard H = I + C returns the skew
     Hadamard [[I + C, I + C], [-I + C, I - C]] of twice the order."""
@@ -166,34 +176,6 @@ def double(H) -> np.ndarray:
     out = np.block([[A, A], [A - eye2, eye2 - A]])
     assert is_skew_hadamard(out)
     return out
-
-
-def extract_sign_blocks(G: GramMatrix, tol: float = 0.01):
-    """Recover the integer blocks (P, Q) from a Gram matrix of the
-    block_etf_gram form: P = I - i sqrt(m-1) (A - I) and
-    Q = sqrt(m-1) B for the upper blocks A, B of G."""
-    M = G.values
-    m = M.shape[0]
-    if m % 2 != 0:
-        raise NotDihedralETFError("Gram matrix size must be even")
-    n = m // 2
-    scale = float(np.sqrt(m - 1))
-    A, B = M[:n, :n], M[:n, n:]
-    Pf = np.eye(n) - 1j * scale * (A - np.eye(n))
-    Qf = scale * B
-    P = np.rint(Pf.real).astype(np.int64)
-    Q = np.rint(Qf.real).astype(np.int64)
-    residual = max(
-        float(np.max(np.abs(Pf - P))),
-        float(np.max(np.abs(Qf - Q))),
-    )
-    if residual > tol:
-        raise NotDihedralETFError(
-            f"blocks are not near sign matrices (residual {residual:.3g})"
-        )
-    if np.any(np.abs(P) != 1) or np.any(np.abs(Q) != 1):
-        raise NotDihedralETFError("recovered blocks are not +-1 matrices")
-    return P, Q
 
 
 def exactify(H_approx):

@@ -17,10 +17,10 @@ d = l - k mod n, and each of the 2n values fills 2n entries.  So the
 potential of the orbit of w/|w| is 2n (sum |a_d|^p + sum |b_d|^p) / s^p
 with s = |w|^2, at O(n^2) cost and without a Gram matrix.
 
-discover() continues the pipeline to an exact object: extract the sign
-blocks from the best orbit's Gram matrix, round them to a
-two-negacirculant skew Hadamard matrix, verify it exactly, and match
-the resulting class against the Paley-type references.
+discover() continues the pipeline to an exact object: invert
+block_etf_gram on the best orbit's Gram matrix, round the result once
+to a two-negacirculant skew Hadamard matrix, verify it exactly, and
+match the resulting class against the Paley-type references.
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ from .frames import (
     welch_bound,
 )
 from .hadamard import (
-    AmbiguousEntryError,
     ExactifyFailure,
+    approximate_sign_matrix,
     block_etf_gram,
     exactify,
-    extract_sign_blocks,
     hex_encode,
-    NotDihedralETFError,
 )
 from .search import SolutionRecord, paley_tags
 
@@ -257,10 +255,10 @@ class DiscoveryFailure:
 
 def discover(n: int, config: Optional[MinimizeConfig] = None):
     """Numerical-to-exact pipeline at a single n: minimize the projective
-    orbit potential, extract and round the sign blocks of the best
-    orbit's Gram matrix, verify the exact skew Hadamard matrix, and tag
-    the class against the Paley references.  Returns a SolutionRecord or
-    a DiscoveryFailure."""
+    orbit potential, invert block_etf_gram on the best orbit's Gram
+    matrix and round it once, verify the exact skew Hadamard matrix,
+    and tag the class against the Paley references.  Returns a
+    SolutionRecord or a DiscoveryFailure."""
     if config is None:
         config = MinimizeConfig(n=n)
     if config.n != n:
@@ -271,10 +269,8 @@ def discover(n: int, config: Optional[MinimizeConfig] = None):
                                 f"best value {result.value:.6g}")
     G = gram(dihedral_orbit(result.v, DihedralFlavor.PROJECTIVE))
     try:
-        P, Q = extract_sign_blocks(G)
-        H = np.block([[P, Q], [-Q.T, P.T]])
-        rounded = exactify(H)
-    except (NotDihedralETFError, AmbiguousEntryError, ValueError) as exc:
+        rounded = exactify(approximate_sign_matrix(G))
+    except ValueError as exc:
         return DiscoveryFailure("rounding-failure", str(exc))
     if isinstance(rounded, ExactifyFailure):
         return DiscoveryFailure("rounding-failure", rounded.check)

@@ -8,8 +8,7 @@ Representations:
   and therefore for matrix indexing) is lexicographic on these tuples,
   so it starts 0, 1, ..., p-1 for prime fields.
 - The reducing modulus is the lexicographically smallest monic
-  irreducible of degree k, coefficients compared low degree first; a
-  different monic irreducible may be supplied explicitly.
+  irreducible of degree k, coefficients compared low degree first.
 - The projective line is ordered (0,1), (1,1), ..., (q-1,1), (1,0):
   affine points first in field order, the point at infinity last.
 - paley_hadamard builds the q+1 sized sign matrix whose (i, j) entry
@@ -22,7 +21,7 @@ Representations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -110,22 +109,14 @@ class FiniteField:
 
     p: int
     k: int = 1
-    modulus: tuple = None
+    modulus: tuple = field(init=False)
 
     def __post_init__(self):
         if prime_power(self.p) != (self.p, 1):
             raise ValueError("characteristic must be prime")
         if self.k < 1:
             raise ValueError("extension degree must be positive")
-        if self.modulus is None:
-            object.__setattr__(self, "modulus", _smallest_irreducible(self.p, self.k))
-        else:
-            f = tuple(int(c) % self.p for c in self.modulus)
-            if len(f) != self.k + 1 or f[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not _is_irreducible(list(f), self.p):
-                raise ValueError("modulus is reducible")
-            object.__setattr__(self, "modulus", f)
+        object.__setattr__(self, "modulus", _smallest_irreducible(self.p, self.k))
 
     @property
     def q(self) -> int:

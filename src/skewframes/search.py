@@ -391,12 +391,6 @@ def format_records(records) -> str:
                    for r in records)
 
 
-def save_records(records, path):
-    """format_records(records) as UTF-8 text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_records(records))
-
-
 def load_records(path) -> List[SolutionRecord]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -278,6 +278,21 @@ def test_cyclopoly_arithmetic_rejects_mixed_orders():
     assert z8 * 3 == CycloPoly.root(8, 1, coeff=3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda c: CycloPoly(8, {0: c}),
+    lambda c: CycloPoly.root(8, 0, coeff=c),
+    lambda c: CycloPoly.rational(8, c),
+    lambda c: CycloPoly.gaussian(8, c, 0),
+    lambda c: CycloPoly.rational(8, 1) * c,
+], ids=["init", "root", "rational", "gaussian", "coerce"])
+def test_cyclopoly_numpy_integers_become_python_ints(make):
+    # a numpy int64 numerator would wrap at 2**63: 3e9 cubed is 2.7e28
+    x = make(np.int64(3_000_000_000))
+    assert all(type(c.numerator) is int and type(c.denominator) is int
+               for c in x.coeffs.values())
+    assert (x * x * x).coeffs == {0: Fraction(27 * 10 ** 27)}
+
+
 def test_cyclopoly_equality_with_other_types_is_false():
     one = CycloPoly.rational(8, 1)
     assert one == 1 and one == Fraction(2, 2)

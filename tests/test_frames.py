@@ -86,8 +86,7 @@ def test_simplex_is_an_etf():
     c = simplex()
     assert abs(coherence(c) - 0.5) < 1e-12
     assert abs(coherence(c) - welch_bound(3, 2)) < 1e-12
-    rep = is_tight(c)
-    assert rep.tight and abs(rep.constant - 1.5) < 1e-15
+    assert is_tight(c) is True
     assert is_etf(c)
 
 
@@ -102,7 +101,7 @@ def test_frame_potential_frozen_values():
 def test_untight_config_fails_predicates():
     V = np.array([[1.0, 0.0, 1 / np.sqrt(2)], [0.0, 1.0, 1 / np.sqrt(2)]])
     c = Configuration(V)
-    assert not is_tight(c).tight
+    assert is_tight(c) is False
     assert not is_etf(c)
 
 

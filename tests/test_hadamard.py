@@ -14,23 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewframes.frames import coherence, configuration_from_gram, is_etf
+from skewframes.frames import GramMatrix, coherence, configuration_from_gram, is_etf
 from skewframes.hadamard import (
     AmbiguousEntryError,
     BlockSkewHadamard,
     ExactifyFailure,
-    NotDihedralETFError,
+    approximate_sign_matrix,
     assemble,
     block_etf_gram,
     double,
     etf_gram,
     exactify,
-    extract_sign_blocks,
     hex_decode,
     hex_encode,
     is_hadamard,
     is_skew_hadamard,
 )
+
+from reference_rows import FULL_ROWS, PARTIAL_ROWS, decode_row
 
 H4 = np.array([
     [1, -1, -1, -1],
@@ -154,17 +155,22 @@ def test_gram_bridges_reject_bad_orders():
         block_etf_gram(np.array([[1, 1], [1, -1]]))  # not skew
 
 
-def test_extract_sign_blocks_roundtrip():
-    G = block_etf_gram(H4)
-    P, Q = extract_sign_blocks(G)
-    assert np.array_equal(P, H4[:2, :2])
-    assert np.array_equal(Q, H4[:2, 2:])
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+@pytest.mark.parametrize("row", FULL_ROWS + PARTIAL_ROWS, ids=lambda r: f"{r[0]}-{r[1]}-{r[2]}")
+def test_reference_rows_round_trip_through_approximate_sign_matrix(row, noise):
+    solution = decode_row(row)
+    G = block_etf_gram(solution.matrix()).values
+    m = G.shape[0]
+    rng = np.random.default_rng(m)
+    E = noise * (rng.uniform(-1, 1, (m, m)) + 1j * rng.uniform(-1, 1, (m, m)))
+    E = (E + E.conj().T) / 2  # keep G Hermitian
+    np.fill_diagonal(E, 0)
+    assert exactify(approximate_sign_matrix(GramMatrix(G + E))) == solution
 
 
-def test_extract_sign_blocks_rejects_identity():
-    from skewframes.frames import GramMatrix
-    with pytest.raises(NotDihedralETFError):
-        extract_sign_blocks(GramMatrix(np.eye(4, dtype=complex)))
+def test_identity_gram_is_ambiguous():
+    with pytest.raises(AmbiguousEntryError):
+        exactify(approximate_sign_matrix(GramMatrix(np.eye(4, dtype=complex))))
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,10 @@ from skewframes.search import (
     classify,
     enumerate,
     enumerate_2circulant,
+    format_records,
     load_records,
     paley_reference_grams,
     record_gram,
-    save_records,
 )
 
 from search_oracle import brute_force_enumerate, canonicalize_b
@@ -448,7 +448,7 @@ def test_save_load_roundtrip(tmp_path):
         SolutionRecord(16, "F227", "FBAD", None, 2),
     ]
     path = tmp_path / "records.tsv"
-    save_records(records, path)
+    path.write_text(format_records(records), encoding="utf-8")
     text = path.read_text(encoding="utf-8")
     assert text.splitlines() == ["4\t8\tD\tP\t1", "16\tF227\tFBAD\t-\t2"]
     loaded = load_records(path)
