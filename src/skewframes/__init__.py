@@ -6,13 +6,11 @@ from .algebra import (
     CycloPoly,
     RootIndex,
     circulant,
-    circulant_eigenvalue,
     cyclotomic_idempotent,
     is_circulant,
     is_negacirculant,
     nega_cyclotomic_idempotent,
     negacirculant,
-    negacirculant_eigenvalue,
 )
 from .frames import (
     Configuration,
@@ -49,7 +47,6 @@ from .hadamard import (
     approximate_sign_matrix,
     assemble,
     block_etf_gram,
-    double,
     etf_gram,
     exactify,
     hex_decode,
@@ -62,18 +59,16 @@ from .paley import (
     FiniteField,
     conj_double_paley_gram,
     double_paley_gram,
+    doubled_paley_rows,
     paley_gram,
     paley_hadamard,
-    projective_line,
-    quadratic_character,
+    paley_rows,
 )
 from .equiv import (
     EquivalenceCertificate,
     EquivalenceResult,
-    NormalizedGram,
     NotEtfGramError,
     are_equivalent,
-    normalize,
 )
 from .search import (
     SolutionRecord,

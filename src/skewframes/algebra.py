@@ -167,38 +167,6 @@ def nega_cyclotomic_idempotent(n: int, zeta: RootIndex) -> np.ndarray:
     return _root_table(zeta.order)[expo % zeta.order] / n
 
 
-def circulant_eigenvalue(C, zeta: RootIndex, tol: float = 1e-9) -> complex:
-    """Scalar a with C @ E == a * E for E = cyclotomic_idempotent(n, zeta).
-
-    For a circulant with first row v this is sum_k v[k] * conj(zeta)**k.
-    """
-    A = _square(C)
-    if not is_circulant(A, tol):
-        raise ValueError("matrix is not circulant within tolerance")
-    n = A.shape[0]
-    if not zeta.annihilates(n):
-        raise ValueError("zeta**n must equal 1")
-    table = _root_table(zeta.order)
-    k = np.arange(n)
-    return complex(np.sum(A[0] * table[(-zeta.index * k) % zeta.order]))
-
-
-def negacirculant_eigenvalue(N, zeta: RootIndex, tol: float = 1e-9) -> complex:
-    """Scalar a with N @ K == a * K for K = nega_cyclotomic_idempotent(n, zeta).
-
-    For a negacirculant with first row v this is sum_k v[k] * zeta**k.
-    """
-    A = _square(N)
-    if not is_negacirculant(A, tol):
-        raise ValueError("matrix is not negacirculant within tolerance")
-    n = A.shape[0]
-    if not zeta.negates(n):
-        raise ValueError("zeta**n must equal -1")
-    table = _root_table(zeta.order)
-    k = np.arange(n)
-    return complex(np.sum(A[0] * table[(zeta.index * k) % zeta.order]))
-
-
 # ---------------------------------------------------------------------------
 # exact cyclotomic arithmetic
 

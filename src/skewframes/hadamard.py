@@ -165,19 +165,6 @@ def approximate_sign_matrix(G: GramMatrix) -> np.ndarray:
     return H + np.eye(m)
 
 
-def double(H) -> np.ndarray:
-    """Order-doubling: for skew Hadamard H = I + C returns the skew
-    Hadamard [[I + C, I + C], [-I + C, I - C]] of twice the order."""
-    A = _sign_matrix(H)
-    if not is_skew_hadamard(A):
-        raise ValueError("expected a skew Hadamard matrix")
-    m = A.shape[0]
-    eye2 = 2 * np.eye(m, dtype=np.int64)
-    out = np.block([[A, A], [A - eye2, eye2 - A]])
-    assert is_skew_hadamard(out)
-    return out
-
-
 def exactify(H_approx):
     """Round an approximate sign matrix to an exact BlockSkewHadamard.
 

@@ -130,15 +130,20 @@ def _potential(x, R, pi, p):
 def _newton_polish(x, R, pi, p):
     """Three Newton steps on the exact gradient from a unit x, with the
     Hessian by central differences of the gradient.  Phase and scale make
-    the Hessian singular, hence the least-squares solve; x is renormalised
-    after each step.  L-BFGS stops where the potential stops resolving,
-    at an angle spread of up to about 1e-7; this takes it to about 1e-14."""
+    the Hessian singular, hence the pseudo-inverse solve on the eigenpairs
+    of the symmetrized Hessian with |eigenvalue| above 1e-8 of the largest
+    (LAPACK's least-squares SVD fails to converge on some of these
+    Hessians from n = 26 on; eigh does not); x is renormalised after each
+    step.  L-BFGS stops where the potential stops resolving, at an angle
+    spread of up to about 1e-7; this takes it to about 1e-14."""
     m, h = x.size, 1e-6
     offsets = np.concatenate([np.eye(m), -np.eye(m), np.zeros((1, m))]) * h
     for _ in range(3):
         grads = _potential(x + offsets, R, pi, p)[1]
         hess = (grads[:m] - grads[m:2 * m]).T / (2 * h)
-        x = x + np.linalg.lstsq(hess, -grads[-1], rcond=1e-8)[0]
+        lam, V = np.linalg.eigh((hess + hess.T) / 2)
+        keep = np.abs(lam) > 1e-8 * np.max(np.abs(lam))
+        x = x - V[:, keep] @ ((V[:, keep].T @ grads[-1]) / lam[keep])
         x = x / np.linalg.norm(x)
     return x
 

@@ -4,19 +4,20 @@ Representations:
 
 - Field elements are k-tuples of ints in range(p), coefficients of the
   polynomial basis listed low degree first; for prime fields they are
-  1-tuples.  The canonical element order (used for the projective line
-  and therefore for matrix indexing) is lexicographic on these tuples,
-  so it starts 0, 1, ..., p-1 for prime fields.
+  1-tuples.  The canonical element order is lexicographic on these
+  tuples, so it starts 0, 1, ..., p-1 for prime fields.
 - The reducing modulus is the lexicographically smallest monic
   irreducible of degree k, coefficients compared low degree first.
-- The projective line is ordered (0,1), (1,1), ..., (q-1,1), (1,0):
-  affine points first in field order, the point at infinity last.
-- paley_hadamard builds the q+1 sized sign matrix whose (i, j) entry
-  for i != j is the quadratic character of the symplectic form
-  a*d - b*c of the representatives (a, b) and (c, d), read from the set
-  of nonzero squares built once per call, with +1 on the diagonal; for
-  q = 3 mod 4 this is skew Hadamard, and the result is verified before
-  being returned.
+- The Paley-type matrices are two-negacirculant rows read off the
+  Singer cycle of the projective line PG(1, q), q = 3 mod 4.  Take the
+  first t in element order whose Lucas sequence y_0 = 0, y_1 = 1,
+  y_{j+1} = t y_j + y_{j-1} (of x^2 - t x - 1, whose norm -1 is a
+  non-square) has y_j != 0 for 0 < j <= q and y_{q+1} = 0; then put
+  c_0 = 1 and c_j = chi(y_j), chi the quadratic character read from the
+  set of nonzero squares.  The Paley matrix P of order q + 1 has
+  a_i = c_{2i} and b_i = c_{2i+1}; its doubling DP of order 2(q + 1)
+  has a_i = (-1)^(i(i-1)/2) c_i and b_i = (-1)^(i(i+1)/2) c_i.  Both
+  are verified as BlockSkewHadamard before being returned.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from itertools import product
 
 import numpy as np
 
-from .hadamard import is_skew_hadamard
 from .frames import GramMatrix
-from . import hadamard as _hadamard
+from .hadamard import BlockSkewHadamard, block_etf_gram
 
 
 class ConstructionError(RuntimeError):
@@ -140,80 +140,64 @@ class FiniteField:
     def sub(self, x, y):
         return tuple((a - b) % self.p for a, b in zip(x, y))
 
-    def neg(self, x):
-        return tuple((-a) % self.p for a in x)
-
     def mul(self, x, y):
         r = _poly_mod(_poly_mul(list(x), list(y), self.p), list(self.modulus), self.p)
         return tuple(r + [0] * (self.k - len(r)))
 
-    def pow(self, x, e: int):
-        if e < 0:
-            raise ValueError("negative exponents not needed here")
-        acc, base = self.one, x
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
 
-
-def quadratic_character(field: FiniteField, x) -> int:
-    """0 on zero, +1 on nonzero squares, -1 on non-squares, via
-    x**((q-1)/2)."""
-    x = tuple(int(c) % field.p for c in x)
-    if x == field.zero:
-        return 0
-    t = field.pow(x, (field.q - 1) // 2)
-    if t == field.one:
-        return 1
-    if t == field.neg(field.one):
-        return -1
-    raise ConstructionError("character power landed outside {1, -1}")
-
-
-def projective_line(field: FiniteField):
-    """Points (x, 1) in field element order followed by (1, 0)."""
-    one, zero = field.one, field.zero
-    return [(x, one) for x in field.elements()] + [(one, zero)]
-
-
-def paley_hadamard(field: FiniteField) -> np.ndarray:
-    """Skew Hadamard matrix of order q+1 for q = 3 mod 4: off-diagonal
-    entries are the quadratic character of the symplectic form between
-    projective representatives, diagonal entries +1."""
+def _singer_characters(field: FiniteField) -> list:
+    """c_0 = 1 and c_j = chi(y_j) for 0 < j <= q along the Singer cycle
+    of PG(1, q) (see the module docstring)."""
     q = field.q
     if q % 4 != 3:
         raise ValueError("need a prime power q with q = 3 mod 4")
-    pts = projective_line(field)
     squares = {field.mul(x, x) for x in field.elements()} - {field.zero}
-    m = q + 1
-    H = np.ones((m, m), dtype=np.int64)
-    for i, (a, b) in enumerate(pts):
-        for j, (c, d) in enumerate(pts):
-            if i != j:
-                form = field.sub(field.mul(a, d), field.mul(b, c))
-                if form == field.zero:
-                    raise ConstructionError("distinct projective points gave a zero form")
-                H[i, j] = 1 if form in squares else -1
-    if not is_skew_hadamard(H):
-        raise ConstructionError("Paley construction failed verification")
-    return H
+    for t in field.elements():
+        y0, y1, ys = field.zero, field.one, []
+        while y1 != field.zero and len(ys) < q:
+            ys.append(y1)
+            y0, y1 = y1, field.add(field.mul(t, y1), y0)
+        if len(ys) == q and y1 == field.zero:
+            return [1] + [1 if y in squares else -1 for y in ys]
+    raise ConstructionError("no Singer cycle found")  # cannot happen
+
+
+def _verified(a, b) -> BlockSkewHadamard:
+    try:
+        return BlockSkewHadamard(len(a), a, b)
+    except ValueError as exc:
+        raise ConstructionError(f"Paley-type rows failed verification: {exc}") from None
+
+
+def paley_rows(field: FiniteField) -> BlockSkewHadamard:
+    """The Paley matrix of order q + 1, q = 3 mod 4, as the rows
+    a_i = c_{2i}, b_i = c_{2i+1} of the Singer characters."""
+    c = _singer_characters(field)
+    return _verified(c[0::2], c[1::2])
+
+
+def doubled_paley_rows(field: FiniteField) -> BlockSkewHadamard:
+    """The doubled Paley matrix of order 2(q + 1) as the rows
+    a_i = (-1)^(i(i-1)/2) c_i, b_i = (-1)^(i(i+1)/2) c_i."""
+    c = _singer_characters(field)
+    return _verified([(-1) ** (i * (i - 1) // 2) * x for i, x in enumerate(c)],
+                     [(-1) ** (i * (i + 1) // 2) * x for i, x in enumerate(c)])
+
+
+def paley_hadamard(field: FiniteField) -> np.ndarray:
+    """Skew Hadamard matrix of Paley type of order q + 1 for q = 3 mod 4,
+    in two-negacirculant block form."""
+    return paley_rows(field).matrix()
 
 
 def paley_gram(field: FiniteField) -> GramMatrix:
     """Block-form ETF Gram of the Paley skew Hadamard matrix."""
-    return _hadamard.block_etf_gram(paley_hadamard(field))
-
-
-def doubled_paley_hadamard(field: FiniteField) -> np.ndarray:
-    return _hadamard.double(paley_hadamard(field))
+    return block_etf_gram(paley_hadamard(field))
 
 
 def double_paley_gram(field: FiniteField) -> GramMatrix:
     """Block-form ETF Gram of the doubled Paley matrix (order 2(q+1))."""
-    return _hadamard.block_etf_gram(doubled_paley_hadamard(field))
+    return block_etf_gram(doubled_paley_rows(field).matrix())
 
 
 def conj_double_paley_gram(field: FiniteField) -> GramMatrix:

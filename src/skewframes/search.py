@@ -235,7 +235,8 @@ class SolutionRecord:
 
 
 def paley_reference_grams(n: int) -> dict:
-    """The Paley-type reference Grams available at this n, keyed by tag."""
+    """The Paley-type reference Grams available at this n, keyed by tag:
+    P and DP from their Singer rows, CDP as DP's conjugate."""
     out = {}
     pp = prime_power(2 * n - 1)
     if pp is not None and (2 * n - 1) % 4 == 3:

@@ -3,7 +3,7 @@
 Frozen oracles in this file were computed by hand or by an independent
 brute-force formula written inline (never by calling the function under
 test): small circulant/negacirculant layouts, the rank-one projector at
-n = 2, eigenvalue residuals, and cyclotomic polynomial tables.
+n = 2, and cyclotomic polynomial tables.
 """
 
 import cmath
@@ -18,7 +18,6 @@ from skewframes.algebra import (
     CycloPoly,
     RootIndex,
     circulant,
-    circulant_eigenvalue,
     cyclo_add,
     cyclo_conj_transpose,
     cyclo_equal,
@@ -34,7 +33,6 @@ from skewframes.algebra import (
     nega_cyclotomic_idempotent,
     nega_cyclotomic_idempotent_exact,
     negacirculant,
-    negacirculant_eigenvalue,
     root_power,
     _exact_dtype,
     _reduce,
@@ -194,51 +192,6 @@ def test_idempotent_rejects_wrong_root():
         cyclotomic_idempotent(4, RootIndex(8, 1))
     with pytest.raises(ValueError):
         nega_cyclotomic_idempotent(4, RootIndex(4, 1))
-
-
-# ---------------------------------------------------------------------------
-# eigenvalues against the defining property
-
-
-def test_circulant_eigenvalue_defining_property():
-    # the returned scalar must satisfy C E = a E exactly; for the cyclic
-    # shift at n = 3 that scalar is conj(zeta), not zeta.
-    C = circulant([0, 1, 0])
-    z = RootIndex(3, 1)
-    a = circulant_eigenvalue(C, z)
-    E = cyclotomic_idempotent(3, z)
-    assert np.max(np.abs(C @ E - a * E)) < 1e-12
-    assert abs(a - z.conjugate().value) < 1e-12
-    assert abs(a - z.value) > 1.0  # the two candidate formulas differ here
-
-
-def test_negacirculant_eigenvalue_defining_property():
-    v = rng.normal(size=6) + 1j * rng.normal(size=6)
-    N = negacirculant(v)
-    for k in range(6):
-        z = RootIndex(12, 2 * k + 1)
-        a = negacirculant_eigenvalue(N, z)
-        K = nega_cyclotomic_idempotent(6, z)
-        assert np.max(np.abs(N @ K - a * K)) < 1e-9
-        assert abs(a - sum(v[j] * z.value ** j for j in range(6))) < 1e-9
-
-
-def test_eigenvalue_rejects_unstructured_matrix():
-    M = rng.normal(size=(4, 4))
-    with pytest.raises(ValueError):
-        circulant_eigenvalue(M, RootIndex(4, 1))
-    with pytest.raises(ValueError):
-        negacirculant_eigenvalue(M, RootIndex(8, 1))
-
-
-def test_eigenvalues_diagonalize_products():
-    u = rng.normal(size=5)
-    v = rng.normal(size=5)
-    A, B = circulant(u), circulant(v)
-    for k in range(5):
-        z = RootIndex(5, k)
-        a = circulant_eigenvalue(A @ B, z)
-        assert abs(a - circulant_eigenvalue(A, z) * circulant_eigenvalue(B, z)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

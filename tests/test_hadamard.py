@@ -22,7 +22,6 @@ from skewframes.hadamard import (
     approximate_sign_matrix,
     assemble,
     block_etf_gram,
-    double,
     etf_gram,
     exactify,
     hex_decode,
@@ -31,6 +30,7 @@ from skewframes.hadamard import (
     is_skew_hadamard,
 )
 
+from paley_oracle import double
 from reference_rows import FULL_ROWS, PARTIAL_ROWS, decode_row
 
 H4 = np.array([
@@ -100,7 +100,7 @@ def test_block_container_rejects_non_hadamard_assembly():
 
 
 # ---------------------------------------------------------------------------
-# doubling
+# doubling (kept in paley_oracle; exactify's tests below use it)
 
 
 def test_double_frozen_oracle():

@@ -2,8 +2,8 @@
 
 The closed-form orbit potential and its gradient are checked against
 the dense frame potential and central differences.  Optimizer calls
-stay cheap: a handful of restarts at n <= 6, and one 50-restart
-discovery at n = 8 (under a second).  The full-budget discovery runs
+stay cheap: a handful of restarts at n <= 6, one 50-restart discovery
+at n = 8 and one 20-restart discovery at n = 28 (each under a second).  The full-budget discovery runs
 at n = 2, 4, 6 live in the acceptance suite.
 """
 
@@ -287,6 +287,13 @@ def test_discover_reports_no_convergence():
     assert isinstance(out, DiscoveryFailure)
     assert out.stage == "no-convergence"
     assert out.detail
+
+
+def test_discover_survives_newton_steps_where_least_squares_diverged():
+    # with LAPACK's least-squares solve some Newton steps at n = 28 raised
+    # LinAlgError ("SVD did not converge"); the eigh solve gives a verdict
+    out = discover(28, MinimizeConfig(n=28, restarts=20, seed=7))
+    assert out == DiscoveryFailure("no-convergence", out.detail)
 
 
 def test_discover_rejects_mismatched_config():

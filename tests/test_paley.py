@@ -6,24 +6,31 @@ Frozen oracles:
   as (1, 0, 2, 1);
 - the quadratic character table of GF(7);
 - the projective line of GF(3) in construction order;
-- the full 4 x 4 Paley matrix over GF(3).
+- the full 4 x 4 projective-line Paley matrix over GF(3);
+- the Singer rows over GF(3), by hand: t = 0 gives y_2 = 0, t = 1 gives
+  y = 0, 1, 1, 2, 0, so c = (1, 1, 1, -1), a = (1, 1) and b = (1, -1).
+
+The closed-form rows are checked against the projective-line oracle in
+paley_oracle.py, which shares with them only FiniteField.
 """
 
 import numpy as np
 import pytest
 
-from skewframes.hadamard import is_skew_hadamard
+import paley_oracle as oracle
+from paley_oracle import power, projective_line, quadratic_character
+from skewframes.equiv import are_equivalent
+from skewframes.hadamard import BlockSkewHadamard, assemble, block_etf_gram, is_skew_hadamard
 from skewframes.paley import (
     ConstructionError,
     FiniteField,
     conj_double_paley_gram,
     double_paley_gram,
-    doubled_paley_hadamard,
+    doubled_paley_rows,
     paley_gram,
     paley_hadamard,
+    paley_rows,
     prime_power,
-    projective_line,
-    quadratic_character,
 )
 
 GF3 = FiniteField(3)
@@ -77,15 +84,15 @@ def test_field_arithmetic_laws(field):
     pick = lambda: els[int(rng.integers(0, len(els)))]
     for _ in range(25):
         x, y, z = pick(), pick(), pick()
-        assert field.add(x, field.neg(x)) == field.zero
+        assert field.add(x, field.sub(field.zero, x)) == field.zero
         assert field.mul(x, y) == field.mul(y, x)
         assert field.mul(field.mul(x, y), z) == field.mul(x, field.mul(y, z))
         assert field.mul(x, field.one) == x
-        assert field.sub(x, y) == field.add(x, field.neg(y))
+        assert field.add(field.sub(x, y), y) == x
     # Fermat: x^(q-1) = 1 for every nonzero x
     for x in els:
         if x != field.zero:
-            assert field.pow(x, field.q - 1) == field.one
+            assert power(field, x, field.q - 1) == field.one
 
 
 @pytest.mark.parametrize("field", [GF3, GF7, FiniteField(11), FiniteField(3, 3)])
@@ -113,7 +120,7 @@ def test_character_is_multiplicative():
 
 
 # ---------------------------------------------------------------------------
-# projective line and the Paley matrix
+# the projective-line oracle
 
 
 def test_projective_line_order():
@@ -129,22 +136,7 @@ def test_paley_hadamard_gf3_oracle():
         [-1, 1, 1, -1],
         [1, 1, 1, 1],
     ])
-    assert np.array_equal(paley_hadamard(GF3), expected)
-
-
-@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (11, 1), (19, 1), (23, 1), (3, 3)])
-def test_paley_hadamard_is_skew(p, k):
-    field = FiniteField(p, k)
-    H = paley_hadamard(field)
-    assert H.shape == (field.q + 1, field.q + 1)
-    assert is_skew_hadamard(H)
-
-
-def test_paley_rejects_wrong_residue():
-    with pytest.raises(ValueError):
-        paley_hadamard(FiniteField(5))  # q = 1 mod 4
-    with pytest.raises(ValueError):
-        paley_hadamard(FiniteField(3, 2))  # q = 9 = 1 mod 4
+    assert np.array_equal(oracle.paley_hadamard(GF3), expected)
 
 
 def character_power_paley_hadamard(field):
@@ -163,7 +155,8 @@ def character_power_paley_hadamard(field):
 @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31, 43])
 def test_paley_hadamard_matches_the_character_power_build(q):
     field = FiniteField(*prime_power(q))
-    assert np.array_equal(paley_hadamard(field), character_power_paley_hadamard(field))
+    assert np.array_equal(oracle.paley_hadamard(field),
+                          character_power_paley_hadamard(field))
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
@@ -178,9 +171,85 @@ def test_quadratic_character_agrees_with_the_squares(p, k):
 def test_paley_hadamard_rejects_a_zero_form(monkeypatch):
     # a repeated projective point makes a*d - b*c vanish off the diagonal
     pts = projective_line(GF7)
-    monkeypatch.setattr("skewframes.paley.projective_line", lambda field: pts[:-1] + pts[:1])
+    monkeypatch.setattr(oracle, "projective_line", lambda field: pts[:-1] + pts[:1])
     with pytest.raises(ConstructionError, match="zero form"):
-        paley_hadamard(GF7)
+        oracle.paley_hadamard(GF7)
+
+
+# ---------------------------------------------------------------------------
+# the Singer rows
+
+PRIME_POWERS_3_MOD_4 = [q for q in range(3, 200, 4) if prime_power(q) is not None]
+
+
+def test_singer_rows_gf3_oracle():
+    assert paley_rows(GF3) == BlockSkewHadamard(2, (1, 1), (1, -1))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_3_MOD_4)
+def test_paley_rows_verify(q):
+    assert paley_rows(FiniteField(*prime_power(q))).n == (q + 1) // 2
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_3_MOD_4 if q < 100])
+def test_doubled_paley_rows_verify(q):
+    assert doubled_paley_rows(FiniteField(*prime_power(q))).n == q + 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (11, 1), (19, 1), (23, 1), (3, 3)])
+def test_paley_hadamard_is_skew(p, k):
+    field = FiniteField(p, k)
+    H = paley_hadamard(field)
+    assert H.shape == (field.q + 1, field.q + 1)
+    assert is_skew_hadamard(H)
+
+
+def test_paley_rejects_wrong_residue():
+    for build in (paley_hadamard, paley_rows, doubled_paley_rows):
+        with pytest.raises(ValueError):
+            build(FiniteField(5))  # q = 1 mod 4
+        with pytest.raises(ValueError):
+            build(FiniteField(3, 2))  # q = 9 = 1 mod 4
+        with pytest.raises(ValueError):
+            build(FiniteField(2, 3))  # q = 8
+
+
+def test_rows_that_fail_verification_raise(monkeypatch):
+    monkeypatch.setattr("skewframes.paley._singer_characters", lambda field: [1] * 8)
+    with pytest.raises(ConstructionError, match="failed verification"):
+        paley_rows(GF7)
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_3_MOD_4 if q <= 59])
+def test_paley_gram_matches_the_projective_line(q):
+    field = FiniteField(*prime_power(q))
+    assert are_equivalent(paley_gram(field), oracle.paley_gram(field)).equivalent
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_3_MOD_4 if q <= 29])
+def test_double_paley_grams_match_the_projective_line(q):
+    field = FiniteField(*prime_power(q))
+    want = oracle.double_paley_gram(field)
+    assert are_equivalent(double_paley_gram(field), want).equivalent
+    assert are_equivalent(conj_double_paley_gram(field), want.conjugated()).equivalent
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_3_MOD_4 if q <= 43])
+def test_conjugate_rows_give_the_conjugate_gram_exactly(q):
+    # negating a_1 .. a_{n-1} transposes the diagonal blocks, which
+    # conjugates the Gram
+    rows = doubled_paley_rows(FiniteField(*prime_power(q)))
+    a = (1,) + tuple(-x for x in rows.a[1:])
+    G = block_etf_gram(assemble(a, rows.b))
+    want = double_paley_gram(FiniteField(*prime_power(q))).conjugated()
+    assert np.array_equal(G.values, want.values)
+    assert np.array_equal(G.exact_scaled, want.exact_scaled)
+
+
+@pytest.mark.parametrize("q", [7, 11, 19])
+def test_doubled_paley_is_not_equivalent_to_its_conjugate(q):
+    G = double_paley_gram(FiniteField(q))
+    assert not are_equivalent(G, G.conjugated()).equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +272,7 @@ def test_paley_gram_meets_the_welch_bound_exactly(p, k):
 @pytest.mark.parametrize("p", [3, 7])
 def test_doubled_paley_matrices(p):
     field = FiniteField(p)
-    D = doubled_paley_hadamard(field)
+    D = oracle.doubled_paley_hadamard(field)
     assert D.shape == (2 * (field.q + 1), 2 * (field.q + 1))
     assert is_skew_hadamard(D)
     G = double_paley_gram(field)
