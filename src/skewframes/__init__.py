@@ -33,7 +33,6 @@ from .grambuild import (
     InvalidPairsError,
     InvalidPartitionError,
     SpectralPartition,
-    UnitPairAssignment,
     build_tight_gram,
     full_root_set,
     is_regular_gram,

@@ -125,14 +125,17 @@ def _square(M) -> np.ndarray:
     return A
 
 
-def is_circulant(M, tol: float = 1e-9) -> bool:
-    A = _square(M)
-    return float(np.max(np.abs(A - circulant(A[0])))) <= tol
+_CIRCULANT_TOL = 1e-9  # entrywise, from the (nega)circulant of the first row
 
 
-def is_negacirculant(M, tol: float = 1e-9) -> bool:
+def is_circulant(M) -> bool:
     A = _square(M)
-    return float(np.max(np.abs(A - negacirculant(A[0])))) <= tol
+    return float(np.max(np.abs(A - circulant(A[0])))) <= _CIRCULANT_TOL
+
+
+def is_negacirculant(M) -> bool:
+    A = _square(M)
+    return float(np.max(np.abs(A - negacirculant(A[0])))) <= _CIRCULANT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +205,18 @@ def _polydiv_exact(num, den):
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple:
-    """Integer m x phi(m) table whose row e holds x**e mod Phi_m, low
-    degree first.  Shift and fold: row e+1 is x times row e, with x**phi(m)
-    replaced by x**phi(m) - Phi_m, as Phi_m is monic."""
+def _reduction_array(m: int) -> tuple:
+    """Integer m x phi(m) table, as an int64 array, whose row e holds
+    x**e mod Phi_m, low degree first; and its largest |entry|.  Shift and
+    fold: row e+1 is x times row e, with x**phi(m) replaced by
+    x**phi(m) - Phi_m, as Phi_m is monic."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     rows = [(1,) + (0,) * (deg - 1)]
     while len(rows) < m:
         top = rows[-1][-1]
         rows.append(tuple(r - top * c for r, c in zip((0,) + rows[-1][:-1], phi)))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _reduction_array(m: int) -> tuple:
-    """_reduction_table(m) as an int64 array, and its largest |entry|."""
-    R = np.array(_reduction_table(m), dtype=np.int64)
+    R = np.array(rows, dtype=np.int64)
     return R, int(np.abs(R).max())
 
 
@@ -311,9 +309,15 @@ class CycloPoly:
             out[e] = out[e] + c if e in out else c
         return CycloPoly(self.order, out)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is None else self + -other
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
         other = self._coerce(other)

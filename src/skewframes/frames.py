@@ -194,7 +194,11 @@ def dihedral_orbit(v, flavor: DihedralFlavor) -> Configuration:
     return Configuration(np.concatenate([R * w, R * w[pi]]).T)
 
 
-def is_regular(config: Configuration, tol: float = 1e-8) -> bool:
+_RANK_TOL = 1e-8  # on singular values and eigenvalues, relative to the largest
+_STRUCTURE_TOL = 1e-9  # entrywise, on the Gram block pattern, as in is_circulant
+
+
+def is_regular(config: Configuration) -> bool:
     """Whether the first half of the columns already spans the ambient
     space; for 2n vectors in dimension n that is the first n columns."""
     V = config.vectors
@@ -203,7 +207,7 @@ def is_regular(config: Configuration, tol: float = 1e-8) -> bool:
         raise ValueError("regularity is defined for an even number of vectors")
     half = V[:, : N // 2]
     s = np.linalg.svd(half, compute_uv=False)
-    return bool(s[-1] > tol * s[0])
+    return bool(s[-1] > _RANK_TOL * s[0])
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,7 @@ class StructureReport:
     ambiguous: bool = False
 
 
-def analyze_gram_structure(G: GramMatrix, tol: float = 1e-9) -> StructureReport:
+def analyze_gram_structure(G: GramMatrix) -> StructureReport:
     """Match G against the block form [[A, B], [B^T, A^T]] with B real,
     where A and B are both circulant (strict flavor) or both
     negacirculant (projective flavor)."""
@@ -234,12 +238,12 @@ def analyze_gram_structure(G: GramMatrix, tol: float = 1e-9) -> StructureReport:
     A, B = M[:n, :n], M[:n, n:]
     C, D = M[n:, :n], M[n:, n:]
     common = (
-        float(np.max(np.abs(C - B.T))) <= tol
-        and float(np.max(np.abs(D - A.T))) <= tol
-        and float(np.max(np.abs(B.imag))) <= tol
+        float(np.max(np.abs(C - B.T))) <= _STRUCTURE_TOL
+        and float(np.max(np.abs(D - A.T))) <= _STRUCTURE_TOL
+        and float(np.max(np.abs(B.imag))) <= _STRUCTURE_TOL
     )
-    strict = common and is_circulant(A, tol) and is_circulant(B, tol)
-    projective = common and is_negacirculant(A, tol) and is_negacirculant(B, tol)
+    strict = common and is_circulant(A) and is_circulant(B)
+    projective = common and is_negacirculant(A) and is_negacirculant(B)
     if strict:
         return StructureReport(DihedralFlavor.STRICT, A, B, ambiguous=projective)
     if projective:
@@ -247,13 +251,13 @@ def analyze_gram_structure(G: GramMatrix, tol: float = 1e-9) -> StructureReport:
     return StructureReport(None, A, B)
 
 
-def configuration_from_gram(G: GramMatrix, n: int, tol: float = 1e-8) -> Configuration:
+def configuration_from_gram(G: GramMatrix, n: int) -> Configuration:
     """Factor G = V* V with V of shape n x N, for a Gram matrix of rank n
     with constant row sum of eigenvalues N/n on its top-n eigenspace.
 
     Uses the spectral decomposition: keeps the n largest eigenvalues,
     checks the discarded ones are zero and the kept ones equal N/n
-    within tol, and returns sqrt(lambda)-scaled eigenvector rows.
+    within _RANK_TOL, and returns sqrt(lambda)-scaled eigenvector rows.
     """
     M = G.values
     N = M.shape[0]
@@ -262,9 +266,9 @@ def configuration_from_gram(G: GramMatrix, n: int, tol: float = 1e-8) -> Configu
     vals, vecs = np.linalg.eigh(M)
     lead, tail = vals[N - n:], vals[: N - n]
     c = N / n
-    if float(np.max(np.abs(tail), initial=0.0)) > tol * c:
+    if float(np.max(np.abs(tail), initial=0.0)) > _RANK_TOL * c:
         raise NotFactorableError("Gram matrix has rank above n within tolerance")
-    if float(np.max(np.abs(lead - c))) > tol * c:
+    if float(np.max(np.abs(lead - c))) > _RANK_TOL * c:
         raise NotFactorableError("top eigenvalues are not the tight constant N/n")
     V = (vecs[:, N - n:] * np.sqrt(np.maximum(lead, 0.0))).conj().T
     # eigh returns unit columns, so the factor's columns can drift from unit

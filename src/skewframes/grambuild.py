@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
 from .algebra import (
     CycloPoly,
     RootIndex,
+    cyclo_equal,
     cyclo_matmul,
     cyclotomic_idempotent,
     cyclotomic_idempotent_exact,
@@ -111,49 +112,46 @@ def _projector(n: int, zeta: RootIndex, flavor: DihedralFlavor,
     return nega_cyclotomic_idempotent_exact(n, zeta, ring_order=order)
 
 
-@dataclass(frozen=True)
-class UnitPairAssignment:
-    """Unit vectors (u, v) in C^2 indexed by the mixed roots.
-
-    Validated invariants, relative to a partition:
-    - defined exactly on the mixed roots;
-    - |u|^2 + |v|^2 == 1 for every pair;
-    - pairs at conjugate roots are swaps of each other:
-      pairs[conj(z)] == (v, u) when pairs[z] == (u, v);
-    - self-conjugate roots carry u = 1/sqrt(2), v = +-1/sqrt(2).
-    """
-
-    pairs: Dict[RootIndex, Tuple[complex, complex]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs",
-                           {z: (complex(u), complex(v))
-                            for z, (u, v) in self.pairs.items()})
-
-    def validate(self, partition: SpectralPartition, tol: float = 1e-12):
-        if set(self.pairs) != set(partition.mixed):
-            raise InvalidPairsError("pairs must be indexed exactly by the mixed roots")
-        r = 1.0 / np.sqrt(2.0)
-        for z, (u, v) in self.pairs.items():
-            if abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) > tol:
-                raise InvalidPairsError("each pair must be a unit vector in C^2")
-            if z.is_real():
-                # the swap condition degenerates here; the block pattern
-                # instead needs u real and u * conj(v) real, pinned to
-                # the balanced choice below
-                if abs(u - r) > tol or min(abs(v - r), abs(v + r)) > tol:
-                    raise InvalidPairsError(
-                        "self-conjugate roots need u = 1/sqrt(2), v = +-1/sqrt(2)")
-            else:
-                uc, vc = self.pairs[z.conjugate()]
-                if abs(uc - v) > tol or abs(vc - u) > tol:
-                    raise InvalidPairsError(
-                        "conjugate roots must carry swapped pairs")
+def _blocks(partition: SpectralPartition, pairs, one, zero) -> dict:
+    """The four entries of each root's 2 x 2 coefficient block C_z, row by
+    row: the roots of pairs (the mixed roots, once _check_pairs passes),
+    then the full roots, each in index order."""
+    blocks = {}
+    for z in _by_index(pairs):
+        u, v = pairs[z]
+        uc, vc = u.conjugate(), v.conjugate()
+        blocks[z] = (u * uc, u * vc, v * uc, v * vc)
+    for z in _by_index(partition.full):
+        blocks[z] = (one, zero, zero, one)
+    return blocks
 
 
-def random_pairs(partition: SpectralPartition, rng) -> UnitPairAssignment:
-    """Sample a valid assignment: independent (cos t, e^{i s} sin t) on
-    one root of each conjugate pair, swapped on the other, random sign
+def _check_pairs(partition: SpectralPartition, pairs, blocks: dict, equal, r):
+    """Raise InvalidPairsError unless the pairs {root: (u, v)} meet the
+    conditions of the module docstring, r = 1/sqrt(2); |u|^2 + |v|^2 is read
+    off the diagonal of C_z.  equal(xy) tells whether x == y for every (x, y)
+    in a list: once over all the conditions, and on failure once for each
+    condition, to name the broken one."""
+    if set(pairs) != set(partition.mixed):
+        raise InvalidPairsError("pairs must be indexed exactly by the mixed roots")
+    half = r * r
+    checks = {"each pair must be a unit vector in C^2": [],
+              "self-conjugate roots need u = 1/sqrt(2), v = +-1/sqrt(2)": [],
+              "conjugate roots must carry swapped pairs": []}
+    unit, real, swap = checks.values()
+    for z, (u, v) in pairs.items():
+        unit.append((blocks[z][0] + blocks[z][3], half + half))
+        if z.is_real():  # v * v = r * r: v is +-r
+            real += [(u, r), (v * v, half)]
+        else:
+            swap += zip(pairs[z.conjugate()], (v, u))
+    if not equal(unit + real + swap):
+        raise InvalidPairsError(next(m for m, xy in checks.items() if not equal(xy)))
+
+
+def random_pairs(partition: SpectralPartition, rng) -> dict:
+    """Sample valid pairs {root: (u, v)}: independent (cos t, e^{i s} sin t)
+    on one root of each conjugate pair, swapped on the other, random sign
     at self-conjugate roots."""
     pairs = {}
     r = 1.0 / np.sqrt(2.0)
@@ -169,27 +167,27 @@ def random_pairs(partition: SpectralPartition, rng) -> UnitPairAssignment:
             v = np.exp(1j * s) * np.sin(t)
             pairs[z] = (u, v)
             pairs[z.conjugate()] = (v, u)
-    return UnitPairAssignment(pairs)
+    return pairs
 
 
-def tight_idempotent(partition: SpectralPartition,
-                     pairs: UnitPairAssignment) -> np.ndarray:
+def tight_idempotent(partition: SpectralPartition, pairs) -> np.ndarray:
     """The rank-n orthogonal projection X described in the module
-    docstring, as a 2n x 2n complex array."""
-    pairs.validate(partition)
+    docstring, as a 2n x 2n complex array, for float pairs {root: (u, v)}.
+
+    X = sum_z C_z (x) K_z is one product: the (4 x roots) matrix of the
+    block entries times the (roots x n^2) matrix of the flattened
+    projectors K_z; entry (2 bi + bj, n i + j) of it is
+    X[bi n + i][bj n + j]."""
     n, flavor = partition.n, partition.flavor
-    X = np.zeros((2 * n, 2 * n), dtype=complex)
-    for z in partition.mixed:
-        u, v = pairs.pairs[z]
-        C = [[u * np.conj(u), u * np.conj(v)], [v * np.conj(u), v * np.conj(v)]]
-        X += np.kron(C, _projector(n, z, flavor))
-    for z in partition.full:
-        X += np.kron(np.eye(2), _projector(n, z, flavor))
-    return X
+    blocks = _blocks(partition, pairs, 1.0, 0.0)
+    _check_pairs(partition, pairs, blocks,
+                 lambda xy: all(abs(x - y) <= 1e-12 for x, y in xy), 1.0 / np.sqrt(2.0))
+    K = np.array([_projector(n, z, flavor).ravel() for z in blocks])
+    P = np.array(list(blocks.values()), dtype=complex).T @ K
+    return P.reshape(2, 2, n, n).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
 
-def build_tight_gram(partition: SpectralPartition,
-                     pairs: UnitPairAssignment) -> GramMatrix:
+def build_tight_gram(partition: SpectralPartition, pairs) -> GramMatrix:
     """Gram matrix G = 2 X; unit diagonal because the projector diagonal
     is constant 1/2 for any valid partition and pairs."""
     return GramMatrix(2.0 * tight_idempotent(partition, pairs))
@@ -247,25 +245,17 @@ def random_exact_pairs(partition: SpectralPartition, rng):
     return pairs
 
 
-def tight_idempotent_exact(partition: SpectralPartition, exact_pairs):
-    """Exact CycloPoly matrix of the projector X for exact unit pairs
-    (as produced by random_exact_pairs).
-
-    X = sum_z C_z (x) K_z is one product: the (4 x roots) matrix of the
-    2 x 2 blocks C_z, flattened, times the (roots x n^2) matrix of the
-    flattened projectors K_z; entry (2 bi + bj, n i + j) of it is
-    X[bi n + i][bj n + j]."""
+def tight_idempotent_exact(partition: SpectralPartition, pairs):
+    """Exact CycloPoly matrix of X, formed as in tight_idempotent by one
+    cyclo_matmul, for unit pairs {root: (u, v)} over exact_ring_order (as
+    random_exact_pairs makes them), checked by one cyclo_equal."""
     n, flavor = partition.n, partition.flavor
     order = exact_ring_order(partition)
-    zero, one = CycloPoly(order), CycloPoly.rational(order, 1)
-    mixed, full = _by_index(partition.mixed), _by_index(partition.full)
-    blocks = []  # entries of each root's 2 x 2 coefficient block, row by row
-    for z in mixed:
-        u, v = exact_pairs[z]
-        uc, vc = u.conjugate(), v.conjugate()
-        blocks.append((u * uc, u * vc, v * uc, v * vc))
-    blocks += [(one, zero, zero, one)] * len(full)
-    right = [[x for row in _projector(n, z, flavor, order) for x in row] for z in mixed + full]
-    P = cyclo_matmul([list(entries) for entries in zip(*blocks)], right)
+    blocks = _blocks(partition, pairs, CycloPoly.rational(order, 1), CycloPoly(order))
+    _check_pairs(partition, pairs, blocks,
+                 lambda xy: cyclo_equal([[x for x, _ in xy]], [[y for _, y in xy]]),
+                 _exact_inv_sqrt2(order))
+    right = [[x for row in _projector(n, z, flavor, order) for x in row] for z in blocks]
+    P = cyclo_matmul([list(entries) for entries in zip(*blocks.values())], right)
     return [[P[2 * bi + bj][n * i + j] for bj in range(2) for j in range(n)]
             for bi in range(2) for i in range(n)]

@@ -1,6 +1,9 @@
-"""The entry-by-entry exact builder that tight_idempotent_exact used
-before it became one cyclo_matmul, kept as an independent oracle for
+"""The builders that tight_idempotent and tight_idempotent_exact used
+before each became one matrix product, kept as independent oracles for
 tests.
+
+kron_tight_idempotent(partition, pairs) adds np.kron(C_z, K_z) into the
+float X one root at a time, with no check of the pairs.
 
 per_entry_tight_idempotent_exact(partition, exact_pairs) adds
 coef * K_z[i][j] into X[bi n + i][bj n + j] with CycloPoly arithmetic,
@@ -9,8 +12,23 @@ with the engine only the partition, the root order, the ring order and
 the exact projectors; its sums never touch the packed integer kernel.
 """
 
+import numpy as np
+
 from skewframes.algebra import CycloPoly
 from skewframes.grambuild import _by_index, _projector, exact_ring_order
+
+
+def kron_tight_idempotent(partition, pairs):
+    """Float matrix of X = sum_z C_z (x) K_z, one Kronecker product per root."""
+    n, flavor = partition.n, partition.flavor
+    X = np.zeros((2 * n, 2 * n), dtype=complex)
+    for z in partition.mixed:
+        u, v = pairs[z]
+        C = [[u * np.conj(u), u * np.conj(v)], [v * np.conj(u), v * np.conj(v)]]
+        X += np.kron(C, _projector(n, z, flavor))
+    for z in partition.full:
+        X += np.kron(np.eye(2), _projector(n, z, flavor))
+    return X
 
 
 def per_entry_tight_idempotent_exact(partition, exact_pairs):

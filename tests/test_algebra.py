@@ -36,7 +36,7 @@ from skewframes.algebra import (
     root_power,
     _exact_dtype,
     _reduce,
-    _reduction_table,
+    _reduction_array,
     _scaled_entries,
 )
 
@@ -359,10 +359,10 @@ def random_cyclo_matrix(m, rows, cols, scale=1):
 
 @pytest.mark.parametrize("m", TABLE_ORDERS)
 def test_reduction_table_rows_are_long_division_remainders(m):
-    table = _reduction_table(m)
+    table = _reduction_array(m)[0]
     assert len(table) == m
-    for e, row in enumerate(table):
-        assert row == long_division_remainder(CycloPoly.root(m, e))
+    for e, row in enumerate(table.tolist()):
+        assert tuple(row) == long_division_remainder(CycloPoly.root(m, e))
     assert max(abs(c) for row in table for c in row) == (2 if m == 105 else 1)
 
 
@@ -552,6 +552,20 @@ def test_cyclopoly_plus_an_integer():
         x + "1"
 
 
+def test_cyclopoly_reflected_add_and_subtract():
+    x = CycloPoly.root(8, 1)
+    y = CycloPoly(8, {3: Fraction(1, 2)})
+    assert (1 + x).coeffs == (x + 1).coeffs == {1: Fraction(1), 0: Fraction(1)}
+    assert (1 - x).coeffs == {0: Fraction(1), 1: Fraction(-1)}
+    assert (Fraction(1, 3) - y).coeffs == {0: Fraction(1, 3), 3: Fraction(-1, 2)}
+    assert sum([x, y]).coeffs == (x + y).coeffs
+    assert (np.int64(2) - x).coeffs == {0: Fraction(2), 1: Fraction(-1)}
+    with pytest.raises(TypeError):
+        "1" + x
+    with pytest.raises(TypeError):
+        2.5 - x
+
+
 def test_exact_checks_reject_broken_projectors():
     # n = 15, projective flavor: the ring order is 120
     n, m = 15, 120
@@ -620,7 +634,7 @@ def test_matrix_reduction_is_exact_past_int64():
     # signs of column k of the table, coefficient k of the remainder is
     # 2^58 times that column's absolute sum, which is at least 32 at m = 105
     m = 105
-    R = np.array(_reduction_table(m))
+    R = _reduction_array(m)[0]
     k = int(np.argmax(np.abs(R).sum(axis=0)))
     assert np.abs(R[:, k]).sum() >= 32
     p = CycloPoly(m, {e: Fraction(int(np.sign(R[e, k])) << 58) for e in range(m) if R[e, k]})
@@ -636,7 +650,7 @@ def test_matrix_reduction_int64_bound_counts_the_table_entries():
     # under 2^62 gives a bound c * 2 * m past it: exact Python ints
     m = 105
     c = ((1 << 62) - 1) // m
-    assert max(abs(x) for row in _reduction_table(m) for x in row) == 2
+    assert max(abs(x) for row in _reduction_array(m)[0].tolist() for x in row) == 2
     assert _reduce({0: c}, 1, m).dtype == object
     assert _reduce({0: c // 2}, 1, m).dtype == np.int64
 
@@ -651,7 +665,7 @@ def test_matrix_reduction_float64_bound_is_2_53(m, past):
     # is 2 and 4 of m, so it passes 2^53 while the bound m * x is under
     # 2^54 and picks int64; with the largest x the float64 tier takes it
     # stays under (2^53 - 3 at m = 2)
-    R = np.array(_reduction_table(m))
+    R = _reduction_array(m)[0]
     col = int(np.abs(R[:, 0]).sum())
     x = (1 << 53) // col + 1 if past else ((1 << 53) - 1) // m
     support = [e for e in range(m) if R[e, 0]]

@@ -16,14 +16,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from grambuild_oracle import per_entry_tight_idempotent_exact
-from skewframes.algebra import RootIndex, cyclo_equal, cyclo_identity, cyclo_matmul
+from grambuild_oracle import kron_tight_idempotent, per_entry_tight_idempotent_exact
+from skewframes.algebra import CycloPoly, RootIndex, cyclo_equal, cyclo_identity, cyclo_matmul
 from skewframes.frames import DihedralFlavor, analyze_gram_structure, is_regular
 from skewframes.grambuild import (
     InvalidPairsError,
     InvalidPartitionError,
     SpectralPartition,
-    UnitPairAssignment,
     build_tight_gram,
     exact_pair_from_rationals,
     exact_ring_order,
@@ -114,24 +113,24 @@ def test_partition_rejects_conjugation_broken_parts():
 
 
 # ---------------------------------------------------------------------------
-# unit pair assignments
+# unit pairs {root: (u, v)}, checked by the builders
 
 
 def test_pairs_must_cover_exactly_the_mixed_roots():
     part = all_mixed(2, PROJECTIVE)
     with pytest.raises(InvalidPairsError):
-        UnitPairAssignment({}).validate(part)
+        tight_idempotent(part, {})
     z = RootIndex(4, 1)
     extra = {z: (1.0, 0.0), z.conjugate(): (0.0, 1.0), RootIndex(4, 0): (1.0, 0.0)}
     with pytest.raises(InvalidPairsError):
-        UnitPairAssignment(extra).validate(part)
+        tight_idempotent(part, extra)
 
 
 def test_pairs_must_be_unit_vectors():
     part = all_mixed(2, PROJECTIVE)
     z = RootIndex(4, 1)
     with pytest.raises(InvalidPairsError):
-        UnitPairAssignment({z: (1.0, 1.0), z.conjugate(): (1.0, 1.0)}).validate(part)
+        tight_idempotent(part, {z: (1.0, 1.0), z.conjugate(): (1.0, 1.0)})
 
 
 def test_conjugate_roots_require_the_plain_swap():
@@ -140,13 +139,11 @@ def test_conjugate_roots_require_the_plain_swap():
     t, s = 0.7, 1.3
     u = np.cos(t)
     v = np.exp(1j * s) * np.sin(t)
-    good = UnitPairAssignment({z: (u, v), z.conjugate(): (v, u)})
-    good.validate(part)  # plain swap passes
+    tight_idempotent(part, {z: (u, v), z.conjugate(): (v, u)})  # plain swap passes
     # swapping with an extra conjugation does not
-    bad = UnitPairAssignment({z: (u, v),
-                              z.conjugate(): (np.conj(v), np.conj(u))})
+    bad = {z: (u, v), z.conjugate(): (np.conj(v), np.conj(u))}
     with pytest.raises(InvalidPairsError):
-        bad.validate(part)
+        tight_idempotent(part, bad)
 
 
 def test_conjugate_swap_pairs_break_the_block_structure():
@@ -179,12 +176,12 @@ def test_self_conjugate_roots_need_the_half_half_pair():
     part = all_mixed(1, STRICT)  # single root 1, self-conjugate
     z = RootIndex(1, 0)
     r = 1.0 / np.sqrt(2.0)
-    UnitPairAssignment({z: (r, r)}).validate(part)
-    UnitPairAssignment({z: (r, -r)}).validate(part)
+    tight_idempotent(part, {z: (r, r)})
+    tight_idempotent(part, {z: (r, -r)})
     with pytest.raises(InvalidPairsError):
-        UnitPairAssignment({z: (1.0, 0.0)}).validate(part)
+        tight_idempotent(part, {z: (1.0, 0.0)})
     with pytest.raises(InvalidPairsError):
-        UnitPairAssignment({z: (r, r * 1j)}).validate(part)
+        tight_idempotent(part, {z: (r, r * 1j)})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -193,7 +190,20 @@ def test_random_pairs_always_validate(n, flavor):
     rng = np.random.default_rng(100 * n + (flavor is STRICT))
     part = all_mixed(n, flavor)
     for _ in range(5):
-        random_pairs(part, rng).validate(part)
+        tight_idempotent(part, random_pairs(part, rng))
+        tight_idempotent_exact(part, random_exact_pairs(part, rng))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("flavor", [STRICT, PROJECTIVE])
+def test_float_builder_matches_the_kron_oracle(n, flavor):
+    rng = np.random.default_rng(41 * n + (flavor is STRICT))
+    parts = every_partition(n, flavor) if n <= 5 else [all_mixed(n, flavor)]
+    for part in parts:
+        pairs = random_pairs(part, rng)
+        X = tight_idempotent(part, pairs)
+        assert X.shape == (2 * n, 2 * n)
+        assert float(np.max(np.abs(X - kron_tight_idempotent(part, pairs)))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +334,7 @@ def test_exact_idempotent_squares_to_itself(n, flavor):
     X = tight_idempotent_exact(part, pairs)
     assert cyclo_equal(cyclo_matmul(X, X), X)
     # matches the float builder entrywise
-    float_pairs = UnitPairAssignment(
-        {z: (u.to_complex(), v.to_complex()) for z, (u, v) in pairs.items()})
+    float_pairs = {z: (u.to_complex(), v.to_complex()) for z, (u, v) in pairs.items()}
     Xf = tight_idempotent(part, float_pairs)
     for i in range(2 * n):
         for j in range(2 * n):
@@ -382,3 +391,46 @@ def test_exact_builder_with_no_mixed_root():
         [half, half, {}, {}], [half, half, {}, {}], [{}, {}, half, half], [{}, {}, half, half]]
     assert [[x.coeffs for x in row] for row in X] == \
         [[x.coeffs for x in row] for row in per_entry_tight_idempotent_exact(part, {})]
+
+
+# n = 3 projective: the roots zeta_6, zeta_6^5 and the self-conjugate -1
+Z1, MINUS_ONE, Z5 = RootIndex(6, 1), RootIndex(6, 3), RootIndex(6, 5)
+
+
+def exact_pairs_with(part, changes):
+    """Exact pairs for the n = 3 projective part, over exact_ring_order,
+    with each root in changes set to pair(one, r, i), r = 1/sqrt(2); a
+    pair of None drops the root."""
+    order = exact_ring_order(part)
+    pairs = random_exact_pairs(part, np.random.default_rng(5))
+    one = CycloPoly.rational(order, 1)
+    r, i = pairs[MINUS_ONE][0], CycloPoly.gaussian(order, 0, 1)
+    for z, pair in changes.items():
+        if pair is None:
+            del pairs[z]
+        else:
+            pairs[z] = pair(one, r, i)
+    return pairs
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({Z1: None}, "exactly by the mixed roots"),
+    ({RootIndex(2, 1): lambda one, r, i: (one, 0 * one)}, "exactly by the mixed roots"),
+    # ((1 + i)/2, 1/2) and its swap: |u|^2 + |v|^2 = 3/4
+    ({Z1: lambda one, r, i: (Fraction(1, 2) * (1 + i), Fraction(1, 2) * one),
+      Z5: lambda one, r, i: (Fraction(1, 2) * one, Fraction(1, 2) * (1 + i))}, "unit vector"),
+    # unit pairs, but the conjugate root repeats (u, v) instead of swapping
+    ({Z1: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i),
+      Z5: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i)}, "swapped pairs"),
+    # unit pairs at -1 other than (r, +-r): v * v = -1/2, or u != r
+    ({MINUS_ONE: lambda one, r, i: (one, 0 * one)}, "self-conjugate"),
+    ({MINUS_ONE: lambda one, r, i: (r, r * i)}, "self-conjugate"),
+    ({MINUS_ONE: lambda one, r, i: (-r, r)}, "self-conjugate"),
+    ({MINUS_ONE: lambda one, r, i: (r * i, r)}, "self-conjugate"),
+])
+def test_exact_builder_rejects_invalid_pairs(changes, message):
+    part = all_mixed(3, PROJECTIVE)
+    tight_idempotent_exact(part, exact_pairs_with(part, {}))
+    tight_idempotent_exact(part, exact_pairs_with(part, {MINUS_ONE: lambda one, r, i: (r, -r)}))
+    with pytest.raises(InvalidPairsError, match=message):
+        tight_idempotent_exact(part, exact_pairs_with(part, changes))
