@@ -6,10 +6,8 @@ from .algebra import (
     CycloPoly,
     RootIndex,
     circulant,
-    cyclotomic_idempotent,
     is_circulant,
     is_negacirculant,
-    nega_cyclotomic_idempotent,
     negacirculant,
 )
 from .frames import (
@@ -33,11 +31,8 @@ from .grambuild import (
     InvalidPairsError,
     InvalidPartitionError,
     SpectralPartition,
-    build_tight_gram,
     full_root_set,
     is_regular_gram,
-    random_pairs,
-    tight_idempotent,
 )
 from .hadamard import (
     AmbiguousEntryError,

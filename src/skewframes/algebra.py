@@ -139,38 +139,6 @@ def is_negacirculant(M) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# idempotent systems attached to circulant / negacirculant algebras
-
-
-def cyclotomic_idempotent(n: int, zeta: RootIndex) -> np.ndarray:
-    """(1/n) * (zeta**(j-i))_{i,j}; requires zeta**n == 1.
-
-    These matrices are the rank-one spectral projectors of the circulant
-    algebra: the distinct ones over all n-th roots sum to the identity
-    and multiply like orthogonal idempotents.
-    """
-    if not zeta.annihilates(n):
-        raise ValueError("zeta**n must equal 1 for a cyclotomic idempotent")
-    j = np.arange(n)
-    expo = (j[None, :] - j[:, None]) * zeta.index
-    return _root_table(zeta.order)[expo % zeta.order] / n
-
-
-def nega_cyclotomic_idempotent(n: int, zeta: RootIndex) -> np.ndarray:
-    """(1/n) * (zeta**(i-j))_{i,j}; requires zeta**n == -1.
-
-    Equals u u* / n for u = (1, zeta, ..., zeta**(n-1)), which makes the
-    idempotency and mutual orthogonality over the 2n-th roots that are
-    not n-th roots immediate.
-    """
-    if not zeta.negates(n):
-        raise ValueError("zeta**n must equal -1 for a nega-cyclotomic idempotent")
-    j = np.arange(n)
-    expo = (j[:, None] - j[None, :]) * zeta.index
-    return _root_table(zeta.order)[expo % zeta.order] / n
-
-
-# ---------------------------------------------------------------------------
 # exact cyclotomic arithmetic
 
 
@@ -471,14 +439,16 @@ def _exact_projector(n: int, zeta: RootIndex, ring_order, sign: int):
 
 
 def cyclotomic_idempotent_exact(n: int, zeta: RootIndex, ring_order: int | None = None):
-    """Exact counterpart of cyclotomic_idempotent as CycloPoly entries."""
+    """(1/n) * (zeta**(j-i))_{i,j}, zeta**n == 1: over the n-th roots, the
+    orthogonal rank-one projectors of the circulant algebra, summing to I."""
     if not zeta.annihilates(n):
         raise ValueError("zeta**n must equal 1")
     return _exact_projector(n, zeta, ring_order, 1)
 
 
 def nega_cyclotomic_idempotent_exact(n: int, zeta: RootIndex, ring_order: int | None = None):
-    """Exact counterpart of nega_cyclotomic_idempotent as CycloPoly entries."""
+    """(1/n) * (zeta**(i-j))_{i,j}, zeta**n == -1: over those 2n-th roots, the
+    orthogonal rank-one projectors of the negacirculant algebra, summing to I."""
     if not zeta.negates(n):
         raise ValueError("zeta**n must equal -1")
     return _exact_projector(n, zeta, ring_order, -1)

@@ -62,28 +62,29 @@ def format_gram(G: GramMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_rows(lines, N: int, what: str) -> np.ndarray:
+    if len(lines) != N:
+        raise ValueError(f"{what} has {len(lines)} rows, header says {N}")
+    rows = [[_parse_complex(t) for t in ln.split()] for ln in lines]
+    if any(len(row) != N for row in rows):
+        raise ValueError(f"{what} row length disagrees with header")
+    return np.asarray(rows, dtype=complex)
+
+
 def parse_gram(text: str) -> GramMatrix:
+    """The inverse of format_gram: a 'gram N' header, N rows of N complex
+    tokens, then nothing or an 'exact' line and N more such rows."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("gram "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "gram":
         raise ValueError("missing 'gram N' header")
-    N = int(lines[0].split()[1])
-    if len(lines) < N + 1:
-        raise ValueError("truncated gram file")
-    rows = []
-    for ln in lines[1:N + 1]:
-        row = [_parse_complex(t) for t in ln.split()]
-        if len(row) != N:
-            raise ValueError("row length disagrees with header")
-        rows.append(row)
-    exact = None
-    if len(lines) > N + 1 and lines[N + 1] == "exact":
-        erows = []
-        for ln in lines[N + 2:N + 2 + N]:
-            erows.append([_parse_complex(t) for t in ln.split()])
-        if len(erows) != N:
-            raise ValueError("truncated exact section")
-        exact = np.asarray(erows, dtype=complex)
-    return GramMatrix(np.asarray(rows, dtype=complex), exact_scaled=exact)
+    N = int(header[1])
+    values = _parse_rows(lines[1:N + 1], N, "gram section")
+    rest = lines[N + 1:]
+    if rest and rest[0] != "exact":
+        raise ValueError(f"expected 'exact' or the end after {N} gram rows, got {rest[0]!r}")
+    exact = _parse_rows(rest[1:], N, "exact section") if rest else None
+    return GramMatrix(values, exact_scaled=exact)
 
 
 def _write_or_print(text: str, out_path):

@@ -1,4 +1,4 @@
-"""Building 2n x 2n tight Gram matrices from spectral data.
+"""Building 2n x 2n tight Gram matrices exactly from spectral data.
 
 The Gram matrices of the dihedral-orbit ETFs in this package are, up to
 the factor 2, self-adjoint idempotents that decompose over the spectral
@@ -20,28 +20,27 @@ For G to carry the dihedral block pattern [[A, B], [B^T, A^T]] with B
 real, the pairs cannot be independent across conjugate roots: the pair
 at the conjugate root must be the swap (v, u) of the pair (u, v), and
 self-conjugate roots must use u = 1/sqrt(2), v = +-1/sqrt(2).
+
+tight_idempotent_exact builds X exactly, over Q(zeta_m) with m =
+exact_ring_order(partition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Optional, Tuple
-
-import numpy as np
+from typing import FrozenSet, Tuple
 
 from .algebra import (
     CycloPoly,
     RootIndex,
     cyclo_equal,
     cyclo_matmul,
-    cyclotomic_idempotent,
     cyclotomic_idempotent_exact,
     lcm,
-    nega_cyclotomic_idempotent,
     nega_cyclotomic_idempotent_exact,
 )
-from .frames import DihedralFlavor, GramMatrix, flavor_roots
+from .frames import DihedralFlavor, flavor_roots
 
 
 class InvalidPartitionError(ValueError):
@@ -98,24 +97,20 @@ def is_regular_gram(partition: SpectralPartition) -> bool:
     return len(partition.mixed) == partition.n
 
 
-def _projector(n: int, zeta: RootIndex, flavor: DihedralFlavor,
-               order: Optional[int] = None):
+def _projector(n: int, zeta: RootIndex, flavor: DihedralFlavor, order: int):
     """The rank-one projector K_zeta of the flavor's algebra (circulant
-    for strict, negacirculant for projective): a float array, or exact
-    CycloPoly entries over Q(zeta_order) when order is given."""
+    for strict, negacirculant for projective) as CycloPoly entries over
+    Q(zeta_order)."""
     if flavor is DihedralFlavor.STRICT:
-        if order is None:
-            return cyclotomic_idempotent(n, zeta)
         return cyclotomic_idempotent_exact(n, zeta, ring_order=order)
-    if order is None:
-        return nega_cyclotomic_idempotent(n, zeta)
     return nega_cyclotomic_idempotent_exact(n, zeta, ring_order=order)
 
 
-def _blocks(partition: SpectralPartition, pairs, one, zero) -> dict:
+def _blocks(partition: SpectralPartition, pairs, order: int) -> dict:
     """The four entries of each root's 2 x 2 coefficient block C_z, row by
     row: the roots of pairs (the mixed roots, once _check_pairs passes),
     then the full roots, each in index order."""
+    one, zero = CycloPoly.rational(order, 1), CycloPoly(order)
     blocks = {}
     for z in _by_index(pairs):
         u, v = pairs[z]
@@ -126,14 +121,14 @@ def _blocks(partition: SpectralPartition, pairs, one, zero) -> dict:
     return blocks
 
 
-def _check_pairs(partition: SpectralPartition, pairs, blocks: dict, equal, r):
+def _check_pairs(partition: SpectralPartition, pairs, blocks: dict, order: int):
     """Raise InvalidPairsError unless the pairs {root: (u, v)} meet the
-    conditions of the module docstring, r = 1/sqrt(2); |u|^2 + |v|^2 is read
-    off the diagonal of C_z.  equal(xy) tells whether x == y for every (x, y)
-    in a list: once over all the conditions, and on failure once for each
-    condition, to name the broken one."""
+    conditions of the module docstring; |u|^2 + |v|^2 is read off the
+    diagonal of C_z.  One cyclo_equal tests every condition at once; only
+    on failure is each condition tested alone, to name the broken one."""
     if set(pairs) != set(partition.mixed):
         raise InvalidPairsError("pairs must be indexed exactly by the mixed roots")
+    r = _exact_inv_sqrt2(order)
     half = r * r
     checks = {"each pair must be a unit vector in C^2": [],
               "self-conjugate roots need u = 1/sqrt(2), v = +-1/sqrt(2)": [],
@@ -145,56 +140,11 @@ def _check_pairs(partition: SpectralPartition, pairs, blocks: dict, equal, r):
             real += [(u, r), (v * v, half)]
         else:
             swap += zip(pairs[z.conjugate()], (v, u))
+
+    def equal(xy):
+        return cyclo_equal([[x for x, _ in xy]], [[y for _, y in xy]])
     if not equal(unit + real + swap):
         raise InvalidPairsError(next(m for m, xy in checks.items() if not equal(xy)))
-
-
-def random_pairs(partition: SpectralPartition, rng) -> dict:
-    """Sample valid pairs {root: (u, v)}: independent (cos t, e^{i s} sin t)
-    on one root of each conjugate pair, swapped on the other, random sign
-    at self-conjugate roots."""
-    pairs = {}
-    r = 1.0 / np.sqrt(2.0)
-    for z in partition.mixed:
-        if z in pairs:
-            continue
-        if z.is_real():
-            pairs[z] = (r, float(rng.choice([-1.0, 1.0])) * r)
-        else:
-            t = float(rng.uniform(0.0, np.pi / 2))
-            s = float(rng.uniform(0.0, 2 * np.pi))
-            u = np.cos(t)
-            v = np.exp(1j * s) * np.sin(t)
-            pairs[z] = (u, v)
-            pairs[z.conjugate()] = (v, u)
-    return pairs
-
-
-def tight_idempotent(partition: SpectralPartition, pairs) -> np.ndarray:
-    """The rank-n orthogonal projection X described in the module
-    docstring, as a 2n x 2n complex array, for float pairs {root: (u, v)}.
-
-    X = sum_z C_z (x) K_z is one product: the (4 x roots) matrix of the
-    block entries times the (roots x n^2) matrix of the flattened
-    projectors K_z; entry (2 bi + bj, n i + j) of it is
-    X[bi n + i][bj n + j]."""
-    n, flavor = partition.n, partition.flavor
-    blocks = _blocks(partition, pairs, 1.0, 0.0)
-    _check_pairs(partition, pairs, blocks,
-                 lambda xy: all(abs(x - y) <= 1e-12 for x, y in xy), 1.0 / np.sqrt(2.0))
-    K = np.array([_projector(n, z, flavor).ravel() for z in blocks])
-    P = np.array(list(blocks.values()), dtype=complex).T @ K
-    return P.reshape(2, 2, n, n).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-
-
-def build_tight_gram(partition: SpectralPartition, pairs) -> GramMatrix:
-    """Gram matrix G = 2 X; unit diagonal because the projector diagonal
-    is constant 1/2 for any valid partition and pairs."""
-    return GramMatrix(2.0 * tight_idempotent(partition, pairs))
-
-
-# ---------------------------------------------------------------------------
-# exact counterpart over the cyclotomic ring, used by the test suite
 
 
 def exact_ring_order(partition: SpectralPartition) -> int:
@@ -225,8 +175,9 @@ def _exact_inv_sqrt2(order: int) -> CycloPoly:
 
 
 def random_exact_pairs(partition: SpectralPartition, rng):
-    """Exact analog of random_pairs: CycloPoly unit pairs from small
-    random rationals; returns {root: (u, v)} over exact_ring_order."""
+    """Sample valid pairs {root: (u, v)} over exact_ring_order: a unit pair
+    from small random rationals on one root of each conjugate pair, swapped
+    on the other, (r, +-r) with a random sign at self-conjugate roots."""
     order = exact_ring_order(partition)
     pairs = {}
     r = _exact_inv_sqrt2(order)
@@ -246,15 +197,18 @@ def random_exact_pairs(partition: SpectralPartition, rng):
 
 
 def tight_idempotent_exact(partition: SpectralPartition, pairs):
-    """Exact CycloPoly matrix of X, formed as in tight_idempotent by one
-    cyclo_matmul, for unit pairs {root: (u, v)} over exact_ring_order (as
-    random_exact_pairs makes them), checked by one cyclo_equal."""
+    """The rank-n orthogonal projection X of the module docstring, as a
+    2n x 2n CycloPoly matrix, for unit pairs {root: (u, v)} over
+    exact_ring_order (as random_exact_pairs makes them).
+
+    X = sum_z C_z (x) K_z is one cyclo_matmul: the (4 x roots) matrix of
+    the block entries times the (roots x n^2) matrix of the flattened
+    projectors K_z; entry (2 bi + bj, n i + j) of it is
+    X[bi n + i][bj n + j]."""
     n, flavor = partition.n, partition.flavor
     order = exact_ring_order(partition)
-    blocks = _blocks(partition, pairs, CycloPoly.rational(order, 1), CycloPoly(order))
-    _check_pairs(partition, pairs, blocks,
-                 lambda xy: cyclo_equal([[x for x, _ in xy]], [[y for _, y in xy]]),
-                 _exact_inv_sqrt2(order))
+    blocks = _blocks(partition, pairs, order)
+    _check_pairs(partition, pairs, blocks, order)
     right = [[x for row in _projector(n, z, flavor, order) for x in row] for z in blocks]
     P = cyclo_matmul([list(entries) for entries in zip(*blocks.values())], right)
     return [[P[2 * bi + bj][n * i + j] for bj in range(2) for j in range(n)]

@@ -1,9 +1,11 @@
-"""The builders that tight_idempotent and tight_idempotent_exact used
-before each became one matrix product, kept as independent oracles for
-tests.
+"""Independent builders of the tight idempotent X = sum_z C_z (x) K_z,
+kept as oracles for tight_idempotent_exact (which forms X as one
+cyclo_matmul).
 
-kron_tight_idempotent(partition, pairs) adds np.kron(C_z, K_z) into the
-float X one root at a time, with no check of the pairs.
+kron_tight_idempotent(partition, pairs) adds np.kron(C_z, K_z) into a
+float X one root at a time, with no check of the pairs, from its own float
+projectors (float_projector).  It shares nothing with the library beyond
+the partition.
 
 per_entry_tight_idempotent_exact(partition, exact_pairs) adds
 coef * K_z[i][j] into X[bi n + i][bj n + j] with CycloPoly arithmetic,
@@ -15,7 +17,18 @@ the exact projectors; its sums never touch the packed integer kernel.
 import numpy as np
 
 from skewframes.algebra import CycloPoly
+from skewframes.frames import DihedralFlavor
 from skewframes.grambuild import _by_index, _projector, exact_ring_order
+
+
+def float_projector(n, z, flavor):
+    """(1/n) zeta^(j - i) (strict) or zeta^(i - j) (projective) at (i, j),
+    zeta = exp(-2 pi i index / order) for the root z."""
+    j = np.arange(n)
+    d = j[None, :] - j[:, None]
+    if flavor is DihedralFlavor.PROJECTIVE:
+        d = -d
+    return np.exp(-2j * np.pi * z.index * d / z.order) / n
 
 
 def kron_tight_idempotent(partition, pairs):
@@ -25,9 +38,9 @@ def kron_tight_idempotent(partition, pairs):
     for z in partition.mixed:
         u, v = pairs[z]
         C = [[u * np.conj(u), u * np.conj(v)], [v * np.conj(u), v * np.conj(v)]]
-        X += np.kron(C, _projector(n, z, flavor))
+        X += np.kron(C, float_projector(n, z, flavor))
     for z in partition.full:
-        X += np.kron(np.eye(2), _projector(n, z, flavor))
+        X += np.kron(np.eye(2), float_projector(n, z, flavor))
     return X
 
 

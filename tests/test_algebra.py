@@ -24,13 +24,11 @@ from skewframes.algebra import (
     cyclo_identity,
     cyclo_is_zero,
     cyclo_matmul,
-    cyclotomic_idempotent,
     cyclotomic_idempotent_exact,
     cyclotomic_polynomial,
     is_circulant,
     is_negacirculant,
     lcm,
-    nega_cyclotomic_idempotent,
     nega_cyclotomic_idempotent_exact,
     negacirculant,
     root_power,
@@ -139,59 +137,60 @@ def test_circulants_closed_under_product_and_adjoint():
 # spectral projectors
 
 
+def evaluate(M):
+    return np.array([[x.to_complex() for x in row] for row in M])
+
+
 def test_cyclotomic_idempotent_frozen_row():
-    E = cyclotomic_idempotent(4, RootIndex(4, 1))
+    E = evaluate(cyclotomic_idempotent_exact(4, RootIndex(4, 1)))
     want = np.array([1, -1j, -1, 1j]) / 4
     assert np.allclose(E[0], want, atol=1e-12)
 
 
 def test_nega_idempotent_frozen_2x2():
-    K = nega_cyclotomic_idempotent(2, RootIndex(4, 1))
+    K = evaluate(nega_cyclotomic_idempotent_exact(2, RootIndex(4, 1)))
     want = np.array([[1, 1j], [-1j, 1]]) / 2
     assert np.allclose(K, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
-def test_cyclotomic_system_resolves_identity(n):
-    total = np.zeros((n, n), dtype=complex)
-    mats = []
-    for k in range(n):
-        E = cyclotomic_idempotent(n, RootIndex(n, k))
-        assert np.allclose(E @ E, E, atol=1e-12)
-        assert np.allclose(E.conj().T, E, atol=1e-12)
-        assert is_circulant(E)
-        assert np.linalg.matrix_rank(E, tol=1e-9) == 1
-        mats.append(E)
-        total += E
-    assert np.allclose(total, np.eye(n), atol=1e-12)
+def check_resolution_of_identity(mats, order, n, shift_algebra):
+    """Exact idempotent, self-adjoint, pairwise orthogonal, summing to I;
+    in floats, rank one and in the shift algebra."""
+    for M in mats:
+        assert cyclo_equal(cyclo_matmul(M, M), M)
+        assert cyclo_equal(cyclo_conj_transpose(M), M)
+        assert shift_algebra(evaluate(M))
+        assert np.linalg.matrix_rank(evaluate(M), tol=1e-9) == 1
+    total = mats[0]
+    for M in mats[1:]:
+        total = cyclo_add(total, M)
+    assert cyclo_equal(total, cyclo_identity(order, n))
     for i in range(n):
         for j in range(i + 1, n):
-            assert np.allclose(mats[i] @ mats[j], 0, atol=1e-12)
+            assert cyclo_is_zero(cyclo_matmul(mats[i], mats[j]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_cyclotomic_system_resolves_identity(n):
+    mats = [cyclotomic_idempotent_exact(n, RootIndex(n, k)) for k in range(n)]
+    check_resolution_of_identity(mats, n, n, is_circulant)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
 def test_nega_system_resolves_identity(n):
-    roots = [RootIndex(2 * n, 2 * k + 1) for k in range(n)]
-    total = np.zeros((n, n), dtype=complex)
-    mats = []
-    for z in roots:
-        K = nega_cyclotomic_idempotent(n, z)
-        assert np.allclose(K @ K, K, atol=1e-12)
-        assert np.allclose(K.conj().T, K, atol=1e-12)
-        assert is_negacirculant(K)
-        mats.append(K)
-        total += K
-    assert np.allclose(total, np.eye(n), atol=1e-12)
-    for i in range(n):
-        for j in range(i + 1, n):
-            assert np.allclose(mats[i] @ mats[j], 0, atol=1e-12)
+    mats = [nega_cyclotomic_idempotent_exact(n, RootIndex(2 * n, 2 * k + 1)) for k in range(n)]
+    check_resolution_of_identity(mats, 2 * n, n, is_negacirculant)
 
 
 def test_idempotent_rejects_wrong_root():
-    with pytest.raises(ValueError):
-        cyclotomic_idempotent(4, RootIndex(8, 1))
-    with pytest.raises(ValueError):
-        nega_cyclotomic_idempotent(4, RootIndex(4, 1))
+    for build, n, zeta, ring_order in [
+        (cyclotomic_idempotent_exact, 4, RootIndex(8, 1), None),  # zeta**4 = -1
+        (nega_cyclotomic_idempotent_exact, 4, RootIndex(4, 1), None),  # zeta**4 = 1
+        (cyclotomic_idempotent_exact, 4, RootIndex(4, 1), 6),  # 4 does not divide 6
+        (nega_cyclotomic_idempotent_exact, 2, RootIndex(4, 1), 6),
+    ]:
+        with pytest.raises(ValueError):
+            build(n, zeta, ring_order)
 
 
 # ---------------------------------------------------------------------------

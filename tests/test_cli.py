@@ -49,14 +49,31 @@ def test_gram_format_roundtrip_without_exact_section():
     assert np.allclose(back.values, G.values, atol=1e-15)
 
 
-@pytest.mark.parametrize("text", [
-    "not a gram\n",
-    "gram 3\n1+0i 0+0i\n",          # short row
-    "gram 2\n1+0i 0+0i\n",          # missing row
-    "gram 1\nbogus\n",              # bad token
-])
-def test_parse_gram_rejects_malformed_input(text):
-    with pytest.raises(ValueError):
+EYE2 = "gram 2\n1+0i 0+0i\n0+0i 1+0i\n"
+
+
+@pytest.mark.parametrize("text,message", [pytest.param(t, m, id=i or t) for t, m, i in [
+    ("not a gram\n", "missing 'gram N' header", None),
+    ("gram 1 1\n1+0i\n", "missing 'gram N' header", "extra header token"),
+    ("gram 3\n1+0i 0+0i\n", "header says 3", None),           # short row
+    ("gram 2\n1+0i 0+0i\n", "header says 2", None),           # missing row
+    ("gram 1\nbogus\n", "bad complex token", None),
+    # content the header does not announce is an error, not ignored
+    (EYE2 + "0+0i 0+0i\n", "expected 'exact' or the end", "extra row"),
+    ("gram 8\n" + (" ".join(["1+0i"] * 8) + "\n") * 9, "expected 'exact' or the end",
+     "9 rows under gram 8"),
+    (EYE2 + "0+0i 0+0i\nexact\n0+0i 0+0i\n0+0i 0+0i\n", "expected 'exact' or the end",
+     "exact after an extra row"),
+    (EYE2 + "exact\n0+0i 0+0i\n0+0i 0+0i\n0+0i 0+0i\n", "exact section has 3 rows",
+     "extra exact row"),
+    (EYE2 + "exact\n0+0i 0+0i\n0+0i 0+0i\njunk\n", "exact section has 3 rows",
+     "junk after the exact rows"),
+    (EYE2 + "exact\n0+0i 0+0i\n0+0i\n", "exact section row length", "ragged exact row"),
+    (EYE2 + "exact\n0+0i 0+0i 0+0i\n0+0i 0+0i 0+0i\n", "exact section row length",
+     "long exact rows"),
+]])
+def test_parse_gram_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
         parse_gram(text)
 
 

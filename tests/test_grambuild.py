@@ -16,23 +16,23 @@ from itertools import product
 import numpy as np
 import pytest
 
-from grambuild_oracle import kron_tight_idempotent, per_entry_tight_idempotent_exact
+from grambuild_oracle import (
+    float_projector,
+    kron_tight_idempotent,
+    per_entry_tight_idempotent_exact,
+)
 from skewframes.algebra import CycloPoly, RootIndex, cyclo_equal, cyclo_identity, cyclo_matmul
-from skewframes.frames import DihedralFlavor, analyze_gram_structure, is_regular
+from skewframes.frames import DihedralFlavor, GramMatrix, analyze_gram_structure
 from skewframes.grambuild import (
     InvalidPairsError,
     InvalidPartitionError,
     SpectralPartition,
-    build_tight_gram,
     exact_pair_from_rationals,
     exact_ring_order,
     full_root_set,
     is_regular_gram,
     random_exact_pairs,
-    random_pairs,
-    tight_idempotent,
     tight_idempotent_exact,
-    _projector,
 )
 
 STRICT = DihedralFlavor.STRICT
@@ -41,6 +41,15 @@ PROJECTIVE = DihedralFlavor.PROJECTIVE
 
 def all_mixed(n, flavor):
     return SpectralPartition(n, flavor, full_root_set(n, flavor))
+
+
+def evaluate(X):
+    return np.array([[x.to_complex() for x in row] for row in X])
+
+
+def built_projection(part, rng):
+    """X of tight_idempotent_exact on random exact pairs, evaluated entry by entry."""
+    return evaluate(tight_idempotent_exact(part, random_exact_pairs(part, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,37 +122,7 @@ def test_partition_rejects_conjugation_broken_parts():
 
 
 # ---------------------------------------------------------------------------
-# unit pairs {root: (u, v)}, checked by the builders
-
-
-def test_pairs_must_cover_exactly_the_mixed_roots():
-    part = all_mixed(2, PROJECTIVE)
-    with pytest.raises(InvalidPairsError):
-        tight_idempotent(part, {})
-    z = RootIndex(4, 1)
-    extra = {z: (1.0, 0.0), z.conjugate(): (0.0, 1.0), RootIndex(4, 0): (1.0, 0.0)}
-    with pytest.raises(InvalidPairsError):
-        tight_idempotent(part, extra)
-
-
-def test_pairs_must_be_unit_vectors():
-    part = all_mixed(2, PROJECTIVE)
-    z = RootIndex(4, 1)
-    with pytest.raises(InvalidPairsError):
-        tight_idempotent(part, {z: (1.0, 1.0), z.conjugate(): (1.0, 1.0)})
-
-
-def test_conjugate_roots_require_the_plain_swap():
-    part = all_mixed(2, PROJECTIVE)
-    z = RootIndex(4, 1)
-    t, s = 0.7, 1.3
-    u = np.cos(t)
-    v = np.exp(1j * s) * np.sin(t)
-    tight_idempotent(part, {z: (u, v), z.conjugate(): (v, u)})  # plain swap passes
-    # swapping with an extra conjugation does not
-    bad = {z: (u, v), z.conjugate(): (np.conj(v), np.conj(u))}
-    with pytest.raises(InvalidPairsError):
-        tight_idempotent(part, bad)
+# unit pairs {root: (u, v)}
 
 
 def test_conjugate_swap_pairs_break_the_block_structure():
@@ -154,12 +133,11 @@ def test_conjugate_swap_pairs_break_the_block_structure():
     t, s = 0.7, 1.3
     u = np.cos(t)
     v = np.exp(1j * s) * np.sin(t)
-    from skewframes.grambuild import _projector
 
     def build(vc, uc):
         X = np.zeros((4, 4), dtype=complex)
         for w, (a, b) in [(z, (u, v)), (z.conjugate(), (vc, uc))]:
-            K = _projector(n, w, PROJECTIVE)
+            K = float_projector(n, w, PROJECTIVE)
             X[:n, :n] += (a * np.conj(a)) * K
             X[:n, n:] += (a * np.conj(b)) * K
             X[n:, :n] += (b * np.conj(a)) * K
@@ -172,65 +150,40 @@ def test_conjugate_swap_pairs_break_the_block_structure():
     assert float(np.max(np.abs(twisted[:n, n:].imag))) > 0.1
 
 
-def test_self_conjugate_roots_need_the_half_half_pair():
-    part = all_mixed(1, STRICT)  # single root 1, self-conjugate
-    z = RootIndex(1, 0)
-    r = 1.0 / np.sqrt(2.0)
-    tight_idempotent(part, {z: (r, r)})
-    tight_idempotent(part, {z: (r, -r)})
-    with pytest.raises(InvalidPairsError):
-        tight_idempotent(part, {z: (1.0, 0.0)})
-    with pytest.raises(InvalidPairsError):
-        tight_idempotent(part, {z: (r, r * 1j)})
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("flavor", [STRICT, PROJECTIVE])
-def test_random_pairs_always_validate(n, flavor):
-    rng = np.random.default_rng(100 * n + (flavor is STRICT))
-    part = all_mixed(n, flavor)
-    for _ in range(5):
-        tight_idempotent(part, random_pairs(part, rng))
-        tight_idempotent_exact(part, random_exact_pairs(part, rng))
+# ---------------------------------------------------------------------------
+# the built Gram matrix
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("flavor", [STRICT, PROJECTIVE])
-def test_float_builder_matches_the_kron_oracle(n, flavor):
+def test_exact_builder_matches_the_kron_oracle(n, flavor):
     rng = np.random.default_rng(41 * n + (flavor is STRICT))
     parts = every_partition(n, flavor) if n <= 5 else [all_mixed(n, flavor)]
     for part in parts:
-        pairs = random_pairs(part, rng)
-        X = tight_idempotent(part, pairs)
+        pairs = random_exact_pairs(part, rng)
+        X = evaluate(tight_idempotent_exact(part, pairs))
         assert X.shape == (2 * n, 2 * n)
-        assert float(np.max(np.abs(X - kron_tight_idempotent(part, pairs)))) < 1e-15
-
-
-# ---------------------------------------------------------------------------
-# the built Gram matrix
+        float_pairs = {z: (u.to_complex(), v.to_complex()) for z, (u, v) in pairs.items()}
+        assert float(np.max(np.abs(X - kron_tight_idempotent(part, float_pairs)))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
 @pytest.mark.parametrize("flavor", [STRICT, PROJECTIVE])
 def test_built_gram_is_rank_n_projection_with_unit_diagonal(n, flavor):
     rng = np.random.default_rng(7 * n + (flavor is STRICT))
-    part = all_mixed(n, flavor)
-    pairs = random_pairs(part, rng)
-    X = tight_idempotent(part, pairs)
+    X = built_projection(all_mixed(n, flavor), rng)
     assert float(np.max(np.abs(X @ X - X))) < 1e-10
     assert float(np.max(np.abs(X - X.conj().T))) < 1e-12
     assert abs(np.trace(X).real - n) < 1e-10
-    G = build_tight_gram(part, pairs)
+    G = GramMatrix(2.0 * X)
     assert np.allclose(np.diag(G.values), 1.0, atol=1e-10)
-    assert np.allclose(G.values, 2.0 * X)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("flavor", [STRICT, PROJECTIVE])
 def test_built_gram_carries_the_flavor_block_structure(n, flavor):
     rng = np.random.default_rng(13 * n + (flavor is STRICT))
-    part = all_mixed(n, flavor)
-    G = build_tight_gram(part, random_pairs(part, rng))
+    G = GramMatrix(2.0 * built_projection(all_mixed(n, flavor), rng))
     report = analyze_gram_structure(G)
     assert report.ambiguous or report.flavor is flavor
 
@@ -246,9 +199,7 @@ def test_partition_with_full_roots_is_still_a_projection():
         frozenset({by_index[1], by_index[9]}),
         frozenset({by_index[3], by_index[7]}),
     )
-    rng = np.random.default_rng(3)
-    pairs = random_pairs(part, rng)
-    X = tight_idempotent(part, pairs)
+    X = built_projection(part, np.random.default_rng(3))
     assert float(np.max(np.abs(X @ X - X))) < 1e-10
     assert abs(np.trace(X).real - 5) < 1e-10
     assert not is_regular_gram(part)
@@ -259,7 +210,7 @@ def test_regularity_of_built_gram_matches_partition_predicate():
     # roots -> not regular.
     rng = np.random.default_rng(11)
     part = all_mixed(5, PROJECTIVE)
-    G = build_tight_gram(part, random_pairs(part, rng))
+    G = GramMatrix(2.0 * built_projection(part, rng))
     cfg_free = analyze_gram_structure(G)
     assert cfg_free.flavor is PROJECTIVE or cfg_free.ambiguous
     assert is_regular_gram(part)
@@ -275,7 +226,7 @@ def test_regularity_of_built_gram_matches_partition_predicate():
         frozenset({by_index[1], by_index[9]}),
         frozenset({by_index[3], by_index[7]}),
     )
-    H = build_tight_gram(lumpy, random_pairs(lumpy, rng))
+    H = GramMatrix(2.0 * built_projection(lumpy, rng))
     assert not is_regular_gram(lumpy)
     A2 = H.values[:5, :5]
     assert float(np.max(np.abs(A2[off].real))) > 1e-3
@@ -290,13 +241,13 @@ def test_upper_block_real_part_is_pair_independent(n, flavor):
     # of it, whatever the unit pairs
     A = np.zeros((n, n), dtype=complex)
     for z in part.mixed:
-        A += 0.5 * _projector(n, z, flavor)
+        A += 0.5 * float_projector(n, z, flavor)
     for z in part.full:
-        A += _projector(n, z, flavor)
+        A += float_projector(n, z, flavor)
     assert float(np.max(np.abs(A.imag))) < 1e-12
     predicted = 2.0 * A.real
     for _ in range(3):
-        G = build_tight_gram(part, random_pairs(part, rng))
+        G = GramMatrix(2.0 * built_projection(part, rng))
         assert np.allclose(G.values[:n, :n].real, predicted, atol=1e-10)
 
 
@@ -333,12 +284,6 @@ def test_exact_idempotent_squares_to_itself(n, flavor):
     pairs = random_exact_pairs(part, rng)
     X = tight_idempotent_exact(part, pairs)
     assert cyclo_equal(cyclo_matmul(X, X), X)
-    # matches the float builder entrywise
-    float_pairs = {z: (u.to_complex(), v.to_complex()) for z, (u, v) in pairs.items()}
-    Xf = tight_idempotent(part, float_pairs)
-    for i in range(2 * n):
-        for j in range(2 * n):
-            assert abs(X[i][j].to_complex() - Xf[i, j]) < 1e-9
 
 
 def every_partition(n, flavor):
@@ -422,6 +367,9 @@ def exact_pairs_with(part, changes):
     # unit pairs, but the conjugate root repeats (u, v) instead of swapping
     ({Z1: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i),
       Z5: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i)}, "swapped pairs"),
+    # the swap conjugated, (conj v, conj u) = (-4i/5, 3/5), breaks the block structure
+    ({Z1: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i),
+      Z5: lambda one, r, i: (Fraction(-4, 5) * i, Fraction(3, 5) * one)}, "swapped pairs"),
     # unit pairs at -1 other than (r, +-r): v * v = -1/2, or u != r
     ({MINUS_ONE: lambda one, r, i: (one, 0 * one)}, "self-conjugate"),
     ({MINUS_ONE: lambda one, r, i: (r, r * i)}, "self-conjugate"),
