@@ -122,7 +122,60 @@ def test_partition_rejects_conjugation_broken_parts():
 
 
 # ---------------------------------------------------------------------------
-# unit pairs {root: (u, v)}
+# unit pairs {root: (u, v)}, checked by the builder
+
+
+def test_pairs_must_cover_exactly_the_mixed_roots():
+    part = all_mixed(2, PROJECTIVE)
+    one = CycloPoly.rational(exact_ring_order(part), 1)
+    with pytest.raises(InvalidPairsError, match="exactly by the mixed roots"):
+        tight_idempotent_exact(part, {})
+    z = RootIndex(4, 1)
+    extra = {z: (one, 0 * one), z.conjugate(): (0 * one, one), RootIndex(4, 0): (one, 0 * one)}
+    with pytest.raises(InvalidPairsError, match="exactly by the mixed roots"):
+        tight_idempotent_exact(part, extra)
+
+
+def test_pairs_must_be_unit_vectors():
+    part = all_mixed(2, PROJECTIVE)
+    one = CycloPoly.rational(exact_ring_order(part), 1)
+    z = RootIndex(4, 1)
+    with pytest.raises(InvalidPairsError, match="unit vector"):
+        tight_idempotent_exact(part, {z: (one, one), z.conjugate(): (one, one)})
+
+
+def test_conjugate_roots_require_the_plain_swap():
+    part = all_mixed(2, PROJECTIVE)
+    z = RootIndex(4, 1)
+    u, v = exact_pair_from_rationals(exact_ring_order(part), Fraction(1, 3), Fraction(2, 5))
+    tight_idempotent_exact(part, {z: (u, v), z.conjugate(): (v, u)})  # plain swap passes
+    # swapping with an extra conjugation does not
+    bad = {z: (u, v), z.conjugate(): (v.conjugate(), u.conjugate())}
+    with pytest.raises(InvalidPairsError, match="swapped pairs"):
+        tight_idempotent_exact(part, bad)
+
+
+def test_self_conjugate_roots_need_the_half_half_pair():
+    part = all_mixed(1, STRICT)  # single root 1, self-conjugate
+    z = RootIndex(1, 0)
+    order = exact_ring_order(part)
+    one, i = CycloPoly.rational(order, 1), CycloPoly.gaussian(order, 0, 1)
+    r = random_exact_pairs(part, np.random.default_rng(0))[z][0]
+    tight_idempotent_exact(part, {z: (r, r)})
+    tight_idempotent_exact(part, {z: (r, -r)})
+    with pytest.raises(InvalidPairsError, match="self-conjugate"):
+        tight_idempotent_exact(part, {z: (one, 0 * one)})
+    with pytest.raises(InvalidPairsError, match="self-conjugate"):
+        tight_idempotent_exact(part, {z: (r, r * i)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("flavor", [STRICT, PROJECTIVE])
+def test_random_pairs_always_validate(n, flavor):
+    rng = np.random.default_rng(100 * n + (flavor is STRICT))
+    part = all_mixed(n, flavor)
+    for _ in range(5):
+        tight_idempotent_exact(part, random_exact_pairs(part, rng))
 
 
 def test_conjugate_swap_pairs_break_the_block_structure():
@@ -367,14 +420,14 @@ def exact_pairs_with(part, changes):
     # unit pairs, but the conjugate root repeats (u, v) instead of swapping
     ({Z1: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i),
       Z5: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i)}, "swapped pairs"),
-    # the swap conjugated, (conj v, conj u) = (-4i/5, 3/5), breaks the block structure
-    ({Z1: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i),
-      Z5: lambda one, r, i: (Fraction(-4, 5) * i, Fraction(3, 5) * one)}, "swapped pairs"),
     # unit pairs at -1 other than (r, +-r): v * v = -1/2, or u != r
     ({MINUS_ONE: lambda one, r, i: (one, 0 * one)}, "self-conjugate"),
     ({MINUS_ONE: lambda one, r, i: (r, r * i)}, "self-conjugate"),
     ({MINUS_ONE: lambda one, r, i: (-r, r)}, "self-conjugate"),
     ({MINUS_ONE: lambda one, r, i: (r * i, r)}, "self-conjugate"),
+    # the swap conjugated, (conj v, conj u) = (-4i/5, 3/5), breaks the block structure
+    ({Z1: lambda one, r, i: (Fraction(3, 5) * one, Fraction(4, 5) * i),
+      Z5: lambda one, r, i: (Fraction(-4, 5) * i, Fraction(3, 5) * one)}, "swapped pairs"),
 ])
 def test_exact_builder_rejects_invalid_pairs(changes, message):
     part = all_mixed(3, PROJECTIVE)
