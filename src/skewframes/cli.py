@@ -7,7 +7,8 @@ failed, matrices inequivalent, empty search), 2 usage or invalid input,
 Gram matrices travel as text files: a header line "gram N", then N rows
 of N whitespace-separated entries "re+imi" (full precision repr), then
 optionally a line "exact" followed by N rows of the Gaussian-integer
-scaled view.  Solution lists are tab-separated rows
+scaled view, which format_gram derives from the float rows and
+parse_gram checks against them.  Solution lists are tab-separated rows
 "n<TAB>a_hex<TAB>b_hex<TAB>type<TAB>class_id" with "-" for an untyped
 class and class_id 0 for not-yet-classified rows.
 """
@@ -53,12 +54,11 @@ def format_gram(G: GramMatrix) -> str:
     lines = [f"gram {G.size}"]
     for row in G.values:
         lines.append(" ".join(_format_complex(z) for z in row))
-    if G.exact_scaled is not None:
-        lines.append("exact")
-        for row in G.exact_scaled:
-            lines.append(" ".join(
-                f"{int(round(z.real))}{'+' if z.imag >= 0 else '-'}{abs(int(round(z.imag)))}i"
-                for z in row))
+    lines.append("exact")
+    for row in G.exact_view:
+        lines.append(" ".join(
+            f"{int(round(z.real))}{'+' if z.imag >= 0 else '-'}{abs(int(round(z.imag)))}i"
+            for z in row))
     return "\n".join(lines) + "\n"
 
 
@@ -73,7 +73,7 @@ def _parse_rows(lines, N: int, what: str) -> np.ndarray:
 
 def parse_gram(text: str) -> GramMatrix:
     """The inverse of format_gram: a 'gram N' header, N rows of N complex
-    tokens, then nothing or an 'exact' line and N more such rows."""
+    tokens, then nothing or an 'exact' line and N rows of its exact view."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "gram":

@@ -62,31 +62,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .frames import GramMatrix
-
-
-class NotEtfGramError(ValueError):
-    """The matrix has no exact {0, +-1, +-i} scaled off-diagonal view."""
-
-
-def _exact_view(G: GramMatrix) -> np.ndarray:
-    """sqrt(N-1) (G - I) with entries verified to be 0 on the diagonal
-    and Gaussian units off it."""
-    if G.exact_scaled is not None:
-        K = np.asarray(G.exact_scaled, dtype=complex)
-    else:
-        N = G.size
-        K = np.sqrt(N - 1) * (G.values - np.eye(N))
-    R = np.rint(K.real)
-    I = np.rint(K.imag)
-    if float(np.max(np.abs(K - (R + 1j * I)))) > 1e-6:
-        raise NotEtfGramError("scaled off-diagonal entries are not Gaussian integers")
-    K = R + 1j * I
-    N = K.shape[0]
-    off = ~np.eye(N, dtype=bool)
-    if np.any(np.abs(R) + np.abs(I) != off.astype(float)):
-        raise NotEtfGramError("entries are not Gaussian units off the diagonal")
-    return K
+from .frames import GramMatrix, NotEtfGramError  # noqa: F401 (re-exported)
 
 
 def _codes(K: np.ndarray) -> np.ndarray:
@@ -112,7 +88,7 @@ class NormalizedGram:
 
 
 def normalize(G: GramMatrix, anchor: int = 0) -> NormalizedGram:
-    K = _exact_view(G)
+    K = G.exact_view
     N = K.shape[0]
     if not 0 <= anchor < N:
         raise ValueError("anchor out of range")
@@ -142,12 +118,7 @@ class EquivalenceCertificate:
         f = np.asarray(self.phases, dtype=complex)
         out = np.empty_like(M)
         out[np.ix_(p, p)] = (f[p, None] * M) * f[p].conj()[None, :]
-        exact = None
-        if G.exact_scaled is not None:
-            E = np.asarray(G.exact_scaled, dtype=complex)
-            exact = np.empty_like(E)
-            exact[np.ix_(p, p)] = (f[p, None] * E) * f[p].conj()[None, :]
-        return GramMatrix(out, exact_scaled=exact)
+        return GramMatrix(out)
 
 
 @dataclass(frozen=True)
@@ -335,9 +306,7 @@ def _verify_certificate(cert, G0, G1) -> bool:
     mapped = cert.apply(G0)
     if float(np.max(np.abs(mapped.values - G1.values))) > 1e-9:
         return False
-    if mapped.exact_scaled is not None and G1.exact_scaled is not None:
-        return bool(np.array_equal(mapped.exact_scaled, G1.exact_scaled))
-    return True
+    return bool(np.array_equal(mapped.exact_view, G1.exact_view))
 
 
 def are_equivalent(G0: GramMatrix, G1: GramMatrix,
@@ -366,7 +335,7 @@ def are_equivalent(G0: GramMatrix, G1: GramMatrix,
         sigma = np.argsort(form1.labeling)[form0.labeling].tolist()
         cert = _certificate_from(form0.normalized, form1.normalized, sigma, N)
         if not _verify_certificate(cert, G0, G1):
-            raise RuntimeError("internal error: certificate failed verification")
+            raise RuntimeError("certificate failed verification")
         return EquivalenceResult(True, cert)
     return EquivalenceResult(False, None)
 

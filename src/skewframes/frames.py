@@ -9,8 +9,8 @@ Representations:
   <v_i, v_j> (conjugate-linear in the first slot), so G is Hermitian
   with unit diagonal and positive semidefinite.  For the Gram matrices
   this package produces from sign matrices, sqrt(N-1) * (G - I) has
-  entries in {0, +-1, +-i}; when known, that exact integer view is kept
-  alongside the floats in exact_scaled.
+  entries in {0, +-1, +-i}; GramMatrix.exact_view rounds the floats to
+  that exact view, once per matrix, and is the only place it is made.
 - A dihedral flavor is its set of n roots, listed by flavor_roots:
   the n-th roots of unity ("strict", a genuine representation) or the
   odd powers of the 2n-th root ("projective", genuinely projective).
@@ -23,7 +23,8 @@ Representations:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,6 +41,10 @@ class NotFactorableError(ValueError):
     """Raised when a claimed Gram matrix does not factor as requested."""
 
 
+class NotEtfGramError(ValueError):
+    """The matrix has no exact {0, +-1, +-i} scaled off-diagonal view."""
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Unit vectors as columns of an n x N complex matrix."""
@@ -51,7 +56,7 @@ class Configuration:
         if V.ndim != 2 or V.shape[0] < 1 or V.shape[1] < 1:
             raise ValueError("expected a non-empty 2-d array of column vectors")
         norms = np.linalg.norm(V, axis=0)
-        if float(np.max(np.abs(norms - 1.0))) > 1e-9:
+        if not float(np.max(np.abs(norms - 1.0))) <= 1e-9:  # NaN fails too
             raise ValueError("columns must be unit vectors")
         object.__setattr__(self, "vectors", V)
 
@@ -68,36 +73,46 @@ class Configuration:
 class GramMatrix:
     """Hermitian unit-diagonal matrix of inner products.
 
-    exact_scaled, when present, holds sqrt(N-1) * (G - I) as a complex
-    array whose entries are exactly in {0, +-1, +-i}; it travels with
-    the float data so equivalence tests can work in exact integers.
+    exact_scaled is not stored: when given, it must equal exact_view,
+    so exact data read from outside cannot disagree with the floats.
     """
 
     values: np.ndarray
-    exact_scaled: Optional[np.ndarray] = None
+    exact_scaled: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, exact_scaled):
         G = np.asarray(self.values, dtype=complex)
         if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
             raise ValueError("Gram matrix must be square and non-empty")
-        if float(np.max(np.abs(G - G.conj().T))) > 1e-9:
+        if not float(np.max(np.abs(G - G.conj().T))) <= 1e-9:  # NaN fails too
             raise ValueError("Gram matrix must be Hermitian")
-        if float(np.max(np.abs(np.diag(G) - 1.0))) > 1e-9:
+        if not float(np.max(np.abs(np.diag(G) - 1.0))) <= 1e-9:
             raise ValueError("Gram matrix must have unit diagonal")
         object.__setattr__(self, "values", G)
-        if self.exact_scaled is not None:
-            E = np.asarray(self.exact_scaled, dtype=complex)
-            if E.shape != G.shape:
-                raise ValueError("exact view shape mismatch")
-            object.__setattr__(self, "exact_scaled", E)
+        if exact_scaled is not None and not np.array_equal(exact_scaled, self.exact_view):
+            raise ValueError("exact view disagrees with the float values")
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def exact_view(self) -> np.ndarray:
+        """sqrt(N-1) (G - I) rounded to Gaussian integers, read-only, with
+        entries verified to be Gaussian units off the diagonal (the unit
+        diagonal rounds to 0)."""
+        N = self.size
+        S = np.sqrt(N - 1) * (self.values - np.eye(N))
+        K = np.rint(S)  # rounds the real and imaginary parts
+        if not float(np.max(np.abs(S - K))) <= 1e-6:
+            raise NotEtfGramError("scaled off-diagonal entries are not Gaussian integers")
+        if np.count_nonzero(np.abs(K) == 1) != N * (N - 1):
+            raise NotEtfGramError("entries are not Gaussian units off the diagonal")
+        K.flags.writeable = False  # shared by every reader through the cache
+        return K
+
     def conjugated(self) -> "GramMatrix":
-        exact = None if self.exact_scaled is None else self.exact_scaled.conj()
-        return GramMatrix(self.values.conj(), exact)
+        return GramMatrix(self.values.conj())
 
 
 def gram(config: Configuration) -> GramMatrix:

@@ -125,7 +125,7 @@ def etf_gram(H) -> GramMatrix:
     if m % 4 != 0:
         raise ValueError("order must be a multiple of 4")
     S = 1j * (A - np.eye(m, dtype=np.int64))
-    return GramMatrix(np.eye(m) + _angle(m) * S, exact_scaled=S.astype(complex))
+    return GramMatrix(np.eye(m) + _angle(m) * S)
 
 
 def block_etf_gram(H) -> GramMatrix:
@@ -148,7 +148,7 @@ def block_etf_gram(H) -> GramMatrix:
     eye = np.eye(n, dtype=np.int64)
     S = np.block([[1j * (P - eye), Q.astype(complex)],
                   [Q.T.astype(complex), 1j * (R - eye)]])
-    return GramMatrix(np.eye(m) + _angle(m) * S, exact_scaled=S)
+    return GramMatrix(np.eye(m) + _angle(m) * S)
 
 
 def approximate_sign_matrix(G: GramMatrix) -> np.ndarray:

@@ -337,7 +337,7 @@ def _symmetry_orbits(n: int, solutions, grams) -> List[int]:
             if ri == rj:
                 continue
             if not _verify_certificate(cert, grams[i], grams[j]):
-                raise RuntimeError("internal error: orbit certificate failed verification")
+                raise RuntimeError("orbit certificate failed verification")
             root[max(ri, rj)] = min(ri, rj)
     return [find(i) for i in range(len(solutions))]
 
@@ -373,7 +373,7 @@ def classify(n: int, jobs: int = 1, solutions=None) -> List[SolutionRecord]:
         # check can only fail on a fault of the engine
         if j != i and (fp_j != fp or not are_equivalent(
                 grams[j], grams[i], assume_transitive=True).equivalent):
-            raise RuntimeError("internal error: equal canonical keys without an equivalence")
+            raise RuntimeError("equal canonical keys without an equivalence")
     reps = [i for i, _ in classes.values()]
     tags = paley_tags(n, [grams[i] for i in reps])
     return [SolutionRecord(n=n, a_hex=hex_encode(solutions[i].a), b_hex=hex_encode(solutions[i].b),

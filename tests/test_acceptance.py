@@ -229,7 +229,7 @@ def test_criterion_08_uniform_and_block_grams_are_diagonally_equivalent():
             permutation=tuple(range(2 * n)),
             phases=(1.0 + 0j,) * n + (1j,) * n)
         mapped = cert.apply(G_uniform)
-        assert np.array_equal(mapped.exact_scaled, G_block.exact_scaled), \
+        assert np.array_equal(mapped.exact_view, G_block.exact_view), \
             f"row {row[:3]}: diag(I, iI) does not map the exact views"
         assert np.allclose(mapped.values, G_block.values, atol=1e-12)
         assert are_equivalent(G_block, G_uniform,

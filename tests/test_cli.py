@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import skewframes
+from skewframes import equiv
 from skewframes.cli import format_gram, parse_gram, run
 from skewframes.equiv import EquivalenceCertificate
 from skewframes.paley import FiniteField, paley_gram
@@ -37,7 +38,7 @@ def test_gram_format_roundtrip_with_exact_section():
     assert "\nexact\n" in text
     back = parse_gram(text)
     assert np.allclose(back.values, G.values, atol=1e-15)
-    assert np.array_equal(back.exact_scaled, G.exact_scaled)
+    assert np.array_equal(back.exact_view, G.exact_view)
 
 
 def test_gram_format_roundtrip_without_exact_section():
@@ -45,11 +46,18 @@ def test_gram_format_roundtrip_without_exact_section():
     text = format_gram(G).split("exact\n")[0]
     assert text.count("\n") == 1 + G.size
     back = parse_gram(text)
-    assert back.exact_scaled is None
+    assert np.array_equal(back.exact_view, G.exact_view)
     assert np.allclose(back.values, G.values, atol=1e-15)
 
 
 EYE2 = "gram 2\n1+0i 0+0i\n0+0i 1+0i\n"
+
+
+def spliced_gram_text():
+    """The float rows of (F7, ED) with the exact rows of (F7, E9), n = 8."""
+    floats = format_gram(row_gram(ROW_BY_KEY[(8, "F7", "ED")])).split("exact\n")[0]
+    exact = format_gram(row_gram(ROW_BY_KEY[(8, "F7", "E9")])).split("exact\n")[1]
+    return floats + "exact\n" + exact
 
 
 @pytest.mark.parametrize("text,message", [pytest.param(t, m, id=i or t) for t, m, i in [
@@ -71,6 +79,8 @@ EYE2 = "gram 2\n1+0i 0+0i\n0+0i 1+0i\n"
     (EYE2 + "exact\n0+0i 0+0i\n0+0i\n", "exact section row length", "ragged exact row"),
     (EYE2 + "exact\n0+0i 0+0i 0+0i\n0+0i 0+0i 0+0i\n", "exact section row length",
      "long exact rows"),
+    ("gram 1\nnan+0i\n", "must be Hermitian", "nan entry"),
+    (spliced_gram_text(), "exact view disagrees with the float values", "spliced halves"),
 ]])
 def test_parse_gram_rejects_malformed_input(text, message):
     with pytest.raises(ValueError, match=message):
@@ -227,6 +237,22 @@ def test_equiv_detects_inequivalent_grams(tmp_path, capsys):
     assert run(["equiv", "--left", str(left), "--right", str(right),
                 "--transitive"]) == 1
     assert capsys.readouterr().out == "inequivalent\n"
+
+
+def test_equiv_rejects_a_spliced_gram_file(tmp_path, capsys):
+    left, right = tmp_path / "l.txt", tmp_path / "r.txt"
+    left.write_text(spliced_gram_text(), encoding="utf-8")
+    write_gram(right, row_gram(ROW_BY_KEY[(8, "F7", "E9")]))
+    assert run(["equiv", "--left", str(left), "--right", str(right)]) == 2
+    assert capsys.readouterr().err == "error: exact view disagrees with the float values\n"
+
+
+def test_equiv_failed_verification_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(equiv, "_verify_certificate", lambda cert, G0, G1: False)
+    path = tmp_path / "g.txt"
+    write_gram(path, row_gram(ROW_BY_KEY[(8, "F7", "ED")]))
+    assert run(["equiv", "--left", str(path), "--right", str(path)]) == 3
+    assert capsys.readouterr().err == "internal error: certificate failed verification\n"
 
 
 def test_equiv_missing_file(capsys):

@@ -82,7 +82,7 @@ def test_certificate_apply_identity():
     cert = EquivalenceCertificate(tuple(range(N)), (1.0 + 0j,) * N)
     H = cert.apply(G)
     assert np.allclose(H.values, G.values)
-    assert np.array_equal(H.exact_scaled, G.exact_scaled)
+    assert np.array_equal(H.exact_view, G.exact_view)
 
 
 @pytest.mark.parametrize("permutation,phases", [
@@ -117,7 +117,7 @@ def test_monomial_transforms_are_recognized(key):
         assert res.equivalent
         mapped = res.certificate.apply(G)
         assert np.allclose(mapped.values, H.values, atol=1e-9)
-        assert np.array_equal(mapped.exact_scaled, H.exact_scaled)
+        assert np.array_equal(mapped.exact_view, H.exact_view)
 
 
 def dense_certificate(ng0, ng1, sigma, N):

@@ -52,6 +52,8 @@ def random_unit(n, seed=None):
 def test_configuration_requires_unit_columns():
     with pytest.raises(ValueError):
         Configuration(np.array([[1.0, 0.5], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="unit vectors"):
+        Configuration(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
 
 def test_configuration_shape_properties():
@@ -72,6 +74,20 @@ def test_gram_matrix_validates():
         GramMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not Hermitian
     with pytest.raises(ValueError):
         GramMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))  # diagonal not 1
+    with pytest.raises(ValueError):
+        GramMatrix(np.array([[np.nan]]))  # NaN passes no tolerance
+
+
+def test_gram_matrix_checks_a_given_exact_view():
+    H = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1]])
+    K = 1j * (H - np.eye(4))
+    values = np.eye(4) + K / np.sqrt(3)
+    assert np.array_equal(GramMatrix(values, exact_scaled=K).exact_view, K)
+    negated = K.copy()
+    negated[0, 1] = -negated[0, 1]
+    for bad in (negated, K[:3, :3], K + 0.25):
+        with pytest.raises(ValueError, match="exact view disagrees with the float values"):
+            GramMatrix(values, exact_scaled=bad)
 
 
 def test_welch_bound_values():

@@ -135,8 +135,7 @@ def test_etf_gram_uniform_phase_form():
     off = G.values[~np.eye(4, dtype=bool)]
     assert np.allclose(np.abs(off), 1 / np.sqrt(3), atol=1e-12)
     assert np.allclose(off.real, 0.0, atol=1e-12)  # all entries are +-i * angle
-    assert G.exact_scaled is not None
-    assert np.allclose(G.exact_scaled, 1j * (H4 - np.eye(4)))
+    assert np.allclose(G.exact_view, 1j * (H4 - np.eye(4)))
 
 
 def test_block_etf_gram_is_an_etf():

@@ -243,7 +243,7 @@ def test_conjugate_rows_give_the_conjugate_gram_exactly(q):
     G = block_etf_gram(assemble(a, rows.b))
     want = double_paley_gram(FiniteField(*prime_power(q))).conjugated()
     assert np.array_equal(G.values, want.values)
-    assert np.array_equal(G.exact_scaled, want.exact_scaled)
+    assert np.array_equal(G.exact_view, want.exact_view)
 
 
 @pytest.mark.parametrize("q", [7, 11, 19])
@@ -263,9 +263,8 @@ def test_paley_gram_meets_the_welch_bound_exactly(p, k):
     q = field.q
     off = np.abs(G.values[~np.eye(q + 1, dtype=bool)])
     assert float(np.max(np.abs(off - 1.0 / np.sqrt(q)))) < 1e-12
-    assert G.exact_scaled is not None
     # exact view entries lie in {+-1, +-i} off the diagonal
-    E = G.exact_scaled[~np.eye(q + 1, dtype=bool)]
+    E = G.exact_view[~np.eye(q + 1, dtype=bool)]
     assert np.all(np.isclose(np.abs(E), 1.0, atol=0))
 
 
@@ -279,7 +278,7 @@ def test_doubled_paley_matrices(p):
     assert G.size == 2 * (field.q + 1)
     C = conj_double_paley_gram(field)
     assert np.allclose(C.values, G.values.conj())
-    assert np.allclose(C.exact_scaled, G.exact_scaled.conj())
+    assert np.allclose(C.exact_view, G.exact_view.conj())
 
 
 def test_double_and_conjugate_grams_differ_entrywise():

@@ -294,7 +294,7 @@ def test_conjugate_reference_is_the_conjugate_double_paley_gram(n):
     cdp = paley_reference_grams(n)["CDP"]
     built = conj_double_paley_gram(FiniteField(n - 1))
     assert np.array_equal(cdp.values, built.values)
-    assert np.array_equal(cdp.exact_scaled, built.exact_scaled)
+    assert np.array_equal(cdp.exact_view, built.exact_view)
 
 
 @pytest.mark.parametrize("n,count,types", [
@@ -435,7 +435,7 @@ def test_record_gram_accepts_both_record_kinds():
     rec = classify(4)[0]
     G1 = record_gram(sol)
     G2 = record_gram(rec)
-    assert np.array_equal(G1.exact_scaled, G2.exact_scaled)
+    assert np.array_equal(G1.exact_view, G2.exact_view)
 
 
 # ---------------------------------------------------------------------------
