@@ -115,6 +115,9 @@ class GramMatrix:
         return GramMatrix(self.values.conj())
 
 
+del GramMatrix.exact_scaled  # the InitVar's default; a read must fail, not see None
+
+
 def gram(config: Configuration) -> GramMatrix:
     V = config.vectors
     return GramMatrix(V.conj().T @ V)

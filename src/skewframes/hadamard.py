@@ -110,68 +110,61 @@ class BlockSkewHadamard:
         return assemble(self.a, self.b)
 
 
-def _angle(m: int) -> float:
-    return 1.0 / float(np.sqrt(m - 1))
+def _skew_part(H) -> np.ndarray:
+    """i (H - I) for a skew Hadamard matrix H of order a multiple of 4."""
+    A = _sign_matrix(H)
+    if not is_skew_hadamard(A):
+        raise ValueError("expected a skew Hadamard matrix")
+    m = A.shape[0]
+    if m % 4 != 0:
+        raise ValueError("order must be a multiple of 4")
+    return 1j * (A - np.eye(m, dtype=np.int64))
+
+
+def _gram(S: np.ndarray) -> GramMatrix:
+    """I + S / sqrt(m-1), scaled by the common angle as one float."""
+    m = S.shape[0]
+    return GramMatrix(np.eye(m) + (1.0 / float(np.sqrt(m - 1))) * S)
 
 
 def etf_gram(H) -> GramMatrix:
     """Gram matrix I + (i/sqrt(m-1)) (H - I) of a skew Hadamard matrix of
     order m = 2n with n even; every off-diagonal entry is +-i times the
     common angle 1/sqrt(m-1)."""
-    A = _sign_matrix(H)
-    if not is_skew_hadamard(A):
-        raise ValueError("expected a skew Hadamard matrix")
-    m = A.shape[0]
-    if m % 4 != 0:
-        raise ValueError("order must be a multiple of 4")
-    S = 1j * (A - np.eye(m, dtype=np.int64))
-    return GramMatrix(np.eye(m) + _angle(m) * S)
+    return _gram(_skew_part(H))
 
 
 def block_etf_gram(H) -> GramMatrix:
-    """Gram matrix that applies the factor i only inside the two diagonal
-    n x n blocks of a skew Hadamard matrix of order 2n:
+    """etf_gram(H) with its last n vertices rephased by i: D G D* for
+    D = diag(1, ..., 1, i, ..., i), that is
 
         I + (1/sqrt(2n-1)) [[i(P - I), Q], [Q^T, i(R - I)]]
 
     where H = [[P, Q], [-Q^T, R]] (skewness forces the lower-left block).
     The result has real off-diagonal blocks, the block pattern of Gram
     matrices of dihedral orbit configurations."""
-    A = _sign_matrix(H)
-    if not is_skew_hadamard(A):
-        raise ValueError("expected a skew Hadamard matrix")
-    m = A.shape[0]
-    if m % 4 != 0:
-        raise ValueError("order must be a multiple of 4")
-    n = m // 2
-    P, Q, R = A[:n, :n], A[:n, n:], A[n:, n:]
-    eye = np.eye(n, dtype=np.int64)
-    S = np.block([[1j * (P - eye), Q.astype(complex)],
-                  [Q.T.astype(complex), 1j * (R - eye)]])
-    return GramMatrix(np.eye(m) + _angle(m) * S)
+    S = _skew_part(H)
+    d = np.repeat([1, 1j], S.shape[0] // 2)
+    return _gram(d[:, None] * S * d.conj())
 
 
 def approximate_sign_matrix(G: GramMatrix) -> np.ndarray:
-    """Float inverse of block_etf_gram, without rounding: sqrt(m-1) (G - I)
-    on every block, the diagonal blocks times -i, the lower-left block
-    negated, plus I.  exactify rounds the result."""
+    """Float inverse of block_etf_gram, without rounding: undo the
+    rephasing, D* G D, then H = I - i sqrt(m-1) (D* G D - I).  exactify
+    rounds the result."""
     M = G.values
     m = M.shape[0]
-    n = m // 2
-    H = float(np.sqrt(m - 1)) * (M - np.eye(m))
-    H[:n, :n] *= -1j
-    H[n:, n:] *= -1j
-    H[n:, :n] *= -1
-    return H + np.eye(m)
+    d = np.repeat([1, 1j], m // 2)
+    return np.eye(m) - 1j * float(np.sqrt(m - 1)) * (d.conj()[:, None] * M * d - np.eye(m))
 
 
 def exactify(H_approx):
     """Round an approximate sign matrix to an exact BlockSkewHadamard.
 
     Entries within 0.05 of zero raise AmbiguousEntryError; entries
-    farther than 0.5 from both +1 and -1 raise ValueError.  After
-    rounding, returns the BlockSkewHadamard on success or an
-    ExactifyFailure naming the first violated structural check.
+    farther than 0.5 from both +1 and -1 raise ValueError.  The rounded
+    matrix must have even order and be assemble(a, b) of its first row;
+    BlockSkewHadamard then judges (a, b), its message an ExactifyFailure.
     """
     A = np.asarray(H_approx)
     if np.iscomplexobj(A):
@@ -190,20 +183,12 @@ def exactify(H_approx):
     if m % 2 != 0:
         return ExactifyFailure("order is odd")
     n = m // 2
-    if np.any(H + H.T != 2 * np.eye(m, dtype=np.int64)):
-        return ExactifyFailure("skew symmetry fails")
-    P, Q = H[:n, :n], H[:n, n:]
-    if not np.array_equal(H[n:, :n], -Q.T) or not np.array_equal(H[n:, n:], P.T):
-        return ExactifyFailure("block layout is not [[P, Q], [-Q^T, P^T]]")
-    Pn = negacirculant(P[0]).real.astype(np.int64)
-    Qn = negacirculant(Q[0]).real.astype(np.int64)
-    if not np.array_equal(P, Pn) or not np.array_equal(Q, Qn):
-        return ExactifyFailure("blocks are not negacirculant")
-    if not np.array_equal(P @ P.T + Q @ Q.T,
-                          2 * n * np.eye(n, dtype=np.int64)):
-        return ExactifyFailure("autocorrelation identity fails")
-    return BlockSkewHadamard(n=n, a=tuple(int(x) for x in P[0]),
-                             b=tuple(int(x) for x in Q[0]))
+    if not np.array_equal(H, assemble(H[0, :n], H[0, n:])):
+        return ExactifyFailure("matrix is not assemble(a, b) of its first row")
+    try:
+        return BlockSkewHadamard(n, H[0, :n], H[0, n:])
+    except ValueError as exc:
+        return ExactifyFailure(str(exc))
 
 
 # ---------------------------------------------------------------------------

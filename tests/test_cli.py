@@ -7,6 +7,7 @@ Exit code contract: 0 success/verified, 1 verified-false or empty
 result, 2 usage or invalid input, 3 internal failure.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,7 +20,8 @@ import skewframes
 from skewframes import equiv
 from skewframes.cli import format_gram, parse_gram, run
 from skewframes.equiv import EquivalenceCertificate
-from skewframes.paley import FiniteField, paley_gram
+from skewframes.frames import GramMatrix
+from skewframes.paley import FiniteField, double_paley_gram, paley_gram
 from skewframes.search import classify
 
 from reference_rows import FULL_ROWS, row_gram
@@ -145,6 +147,20 @@ def test_paley_writes_parseable_gram(tmp_path, capsys):
     assert G2.size == 8
 
 
+@pytest.mark.parametrize("args,digest", [
+    ("--q 3", "661d1387db6137ac5a2849b383df324a98fe86bf957adc920a0353b1831043a0"),
+    ("--q 7", "47a82e1cbb04b4cf4a74383d9309a79d1883bef0250fb3a68e45acac262a43a5"),
+    ("--q 7 --double", "499efda49c325531bbe5b693cfe34583091adbadcd30aa2c367c5dd69f0915e5"),
+    ("--q 7 --double --conj", "2992e65255ffd7dbdf44f9d49da123d39e0ea7a428e80c175c2bc065f361c0ef"),
+    ("--q 11 --double", "e2f235ce4deaa12340ac23fa9a46d55359e95ce7bd47e44f2703097142b9e91b"),
+    ("--q 23", "8c7e92dc4600f3cec8754f1d5def70c1a936924a4da4369bcdcb2d1866645e95"),
+])
+def test_paley_output_bytes_are_pinned(args, digest, capsys):
+    # every float row and exact row, byte for byte, including signed zeros
+    assert run(["paley", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_paley_usage_errors(capsys):
     assert run(["paley", "--q", "5"]) == 2        # 1 mod 4
     assert run(["paley", "--q", "12"]) == 2       # not a prime power
@@ -253,6 +269,21 @@ def test_equiv_failed_verification_is_an_internal_error(tmp_path, capsys, monkey
     write_gram(path, row_gram(ROW_BY_KEY[(8, "F7", "ED")]))
     assert run(["equiv", "--left", str(path), "--right", str(path)]) == 3
     assert capsys.readouterr().err == "internal error: certificate failed verification\n"
+
+
+def test_equiv_accepts_a_gram_file_with_float_noise(tmp_path, capsys):
+    # noise far below the rounding of the exact view leaves it unchanged,
+    # and the certificate is checked on the exact views only
+    G = double_paley_gram(FiniteField(7))
+    E = 1e-8 * np.random.default_rng(7).uniform(-1, 1, (G.size, G.size))
+    E = E + E.T
+    np.fill_diagonal(E, 0)
+    noisy = GramMatrix(G.values + E)
+    left, right = tmp_path / "clean.txt", tmp_path / "noisy.txt"
+    write_gram(left, G)
+    write_gram(right, noisy)
+    assert run(["equiv", "--left", str(left), "--right", str(right), "--transitive"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "equivalent"
 
 
 def test_equiv_missing_file(capsys):

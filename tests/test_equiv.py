@@ -28,7 +28,7 @@ from skewframes.equiv import (
     normalize,
 )
 from skewframes.frames import GramMatrix
-from skewframes.paley import FiniteField, paley_gram
+from skewframes.paley import FiniteField, double_paley_gram, paley_gram
 
 from equiv_oracle import oracle_equivalent, oracle_sigma
 from reference_rows import FULL_ROWS, row_gram
@@ -301,6 +301,37 @@ def test_full_anchor_scan_finds_a_transform_that_moves_vertex_0():
     assert res.equivalent
     assert _verify_certificate(res.certificate, G, H)
     assert not are_equivalent(G, G.conjugated(), assume_transitive=False).equivalent
+
+
+def test_float_noise_does_not_fail_verification():
+    G = double_paley_gram(FiniteField(7))
+    E = 1e-8 * np.random.default_rng(7).uniform(-1, 1, (G.size, G.size))
+    E = E + E.T
+    np.fill_diagonal(E, 0)
+    noisy = GramMatrix(G.values + E)
+    res = are_equivalent(G, noisy, assume_transitive=True)
+    assert res.equivalent
+    assert _verify_certificate(res.certificate, G, noisy)
+
+
+def test_verify_certificate_rejects_a_wrong_phase_or_permutation():
+    G = row_gram(ROW_BY_KEY[(8, "F7", "ED")])
+    N = G.size
+    cert = random_certificate(np.random.default_rng(5), N)
+    H = cert.apply(G)
+    assert _verify_certificate(cert, G, H)
+    perm, phases = list(cert.permutation), list(cert.phases)
+    negated = phases[:3] + [-phases[3]] + phases[4:]
+    rotated = phases[:3] + [(1 + 1j) / np.sqrt(2)] + phases[4:]
+    swapped = perm[:]
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    # the swap is no automorphism: its image differs from H at the float level too
+    assert not np.allclose(EquivalenceCertificate(tuple(swapped), cert.phases).apply(G).values,
+                           H.values)
+    for bad in (EquivalenceCertificate(cert.permutation, tuple(negated)),
+                EquivalenceCertificate(cert.permutation, tuple(rotated)),
+                EquivalenceCertificate(tuple(swapped), cert.phases)):
+        assert not _verify_certificate(bad, G, H)
 
 
 def test_unverified_certificate_is_an_internal_error(monkeypatch):

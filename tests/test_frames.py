@@ -90,6 +90,16 @@ def test_gram_matrix_checks_a_given_exact_view():
             GramMatrix(values, exact_scaled=bad)
 
 
+def test_gram_matrix_does_not_store_exact_scaled():
+    K = 1j * (np.array([[1, 1], [-1, 1]]) - np.eye(2))
+    for G in (GramMatrix(np.eye(2) + K), GramMatrix(np.eye(2) + K, exact_scaled=K)):
+        assert np.array_equal(G.exact_view, K)
+        with pytest.raises(AttributeError):
+            G.exact_scaled
+    with pytest.raises(AttributeError):
+        GramMatrix.exact_scaled
+
+
 def test_welch_bound_values():
     assert abs(welch_bound(4, 2) - 1 / np.sqrt(3)) < 1e-15
     for n in (2, 3, 5, 8):

@@ -198,18 +198,18 @@ def test_exactify_entry_too_far():
 
 
 def test_exactify_structural_failures_are_reported():
+    layout = "matrix is not assemble(a, b) of its first row"
     sym = np.array([[1, 1], [1, -1]], dtype=float)
     out = exactify(sym)
     assert isinstance(out, ExactifyFailure)
-    assert out.check == "skew symmetry fails"
+    assert out.check == layout
 
-    # A doubled matrix is skew Hadamard, and skewness alone forces the
-    # off-diagonal block relation, so its first failing check is the
-    # negacirculant structure of the blocks.
+    # a doubled matrix is skew Hadamard, but its blocks are not
+    # negacirculant, so it is not the assembly of its first row
     D = double(H4).astype(float)
     out = exactify(D)
     assert isinstance(out, ExactifyFailure)
-    assert out.check == "blocks are not negacirculant"
+    assert out.check == layout
 
     # permuting the last two rows and columns of the fixture keeps it
     # skew Hadamard but decouples the two diagonal blocks.
@@ -217,7 +217,18 @@ def test_exactify_structural_failures_are_reported():
     twisted = H4[perm][:, perm].astype(float)
     out = exactify(twisted)
     assert isinstance(out, ExactifyFailure)
-    assert out.check == "block layout is not [[P, Q], [-Q^T, P^T]]"
+    assert out.check == layout
+
+
+@pytest.mark.parametrize("H,message", [
+    (-H4, "first row must be 1 followed by a palindrome"),
+    (assemble((1, 1, 1, 1), (1, 1, 1, 1)), "rows do not assemble to a skew Hadamard matrix"),
+], ids=["first-entry-minus-one", "non-solution-pair"])
+def test_exactify_reports_the_block_skew_hadamard_message(H, message):
+    # both are assemble(a, b) of their first row, so BlockSkewHadamard judges them
+    with pytest.raises(ValueError, match=message):
+        BlockSkewHadamard(len(H) // 2, H[0, :len(H) // 2], H[0, len(H) // 2:])
+    assert exactify(0.9 * H) == ExactifyFailure(message)
 
 
 def test_exactify_rejects_complex_noise():
